@@ -166,20 +166,12 @@ def cmd_eval(args, cfg: CliConfig) -> int:
 
 
 def cmd_verify(args, cfg: CliConfig) -> int:
-    kwargs = {}
-    if args.mmax is not None:
-        kwargs["mmax"] = args.mmax
-    if args.suite == "all":
-        reports = verify.run_suite("all", seed=cfg.seed, jobs=args.jobs)
-    else:
-        if args.suite not in verify.SUITES and args.suite not in verify.EXTRA_SUITES:
-            print(f"unknown suite: {args.suite}", file=sys.stderr)
-            return EXIT_USAGE
-        func = verify.SUITES.get(args.suite) or verify.EXTRA_SUITES[args.suite]
-        try:
-            reports = [func(seed=cfg.seed, **kwargs)]
-        except TypeError:
-            reports = [func(seed=cfg.seed)]
+    if args.suite != "all" and args.suite not in verify.SUITES and args.suite not in verify.EXTRA_SUITES:
+        print(f"unknown suite: {args.suite}", file=sys.stderr)
+        return EXIT_USAGE
+    overrides = {} if args.mmax is None else {"mmax": args.mmax}
+    names = "all" if args.suite == "all" else [args.suite]
+    reports = verify.run_suite(names, seed=cfg.seed, jobs=args.jobs, **overrides)
     outdir = Path(args.out) if args.out else None
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -204,16 +204,22 @@ def hyp_pfq(numer, denom, t, ctl: SeriesControl = DEFAULT_CONTROL):
     """Generalized hypergeometric pFq for p, q <= 2 (covers 1F1 and 2F2).
 
     Compensated summation of sum_k prod(a_i)_k / prod(b_i)_k * t^k / k!.
-    ``t`` may be a complex scalar or ndarray; denominator parameters must not
-    be non-positive integers.
+    ``t`` and each parameter may be a scalar or an ndarray; they broadcast
+    against each other, so one call sums a whole grid of parameter sets as a
+    single series that runs until every element meets the tail test a scalar
+    call would apply to it.  Elements that meet it early keep adding terms, so
+    an element's value can differ from its scalar call below that tail test.
+    No denominator entry may be a non-positive integer.  The result is
+    complex, or complex long double when ``t`` is long double.
     """
-    numer = list(numer)
-    denom = list(denom)
+    numer = [np.asarray(a) for a in numer]
+    denom = [np.asarray(b) for b in denom]
     if len(numer) > 2 or len(denom) > 2:
         raise ValueError("hyp_pfq supports at most 2 numerator and 2 denominator parameters")
     for b in denom:
-        if _is_nonpositive_integer(b):
-            raise PoleError(f"hyp_pfq denominator parameter {b} is a non-positive integer")
+        poles = (b <= 0.0) & (b == np.floor(b))
+        if np.any(poles):
+            raise PoleError(f"hyp_pfq denominator parameter {b[poles].flat[0]} is a non-positive integer")
     # extended-precision accumulation: alternating arguments (Kummer-type
     # identities at t ~ -10) cancel through partial sums ~e^{|t|} above the
     # limit, which 64-bit terms cannot certify at 1e-11
@@ -221,23 +227,25 @@ def hyp_pfq(numer, denom, t, ctl: SeriesControl = DEFAULT_CONTROL):
     tq = np.asarray(t_in, dtype=np.clongdouble)
     total = np.zeros_like(tq)
     term = np.ones_like(tq)
+    floor = max(ctl.abs_tol, _TINY)
     prev_mag = math.inf
     for k in range(ctl.max_terms + 1):
         total = total + term
-        term_mag = float(np.max(np.abs(term)))
-        total_mag = float(np.max(np.abs(total)))
-        if k >= 2 and _tail_done(term_mag, prev_mag, total_mag, ctl):
+        term_mag = np.abs(term).astype(float)
+        # the tail test of a scalar call, element by element
+        bound = np.maximum(ctl.rel_tol * np.abs(total).astype(float), floor)
+        if k >= 2 and np.all((term_mag <= bound) & (prev_mag <= bound)):
             break
         prev_mag = term_mag
         ratio = np.clongdouble(1.0 / (k + 1.0))
         for a in numer:
-            ratio = ratio * np.clongdouble(a + k)
+            ratio = ratio * (a + k).astype(np.clongdouble)
         for b in denom:
-            ratio = ratio / np.clongdouble(b + k)
+            ratio = ratio / (b + k).astype(np.clongdouble)
         term = term * ratio * tq
     else:
         raise ConvergenceError(f"hyp_pfq not converged in {ctl.max_terms} terms")
-    out = total.astype(complex)
+    out = total.astype(np.result_type(t_in, complex))
     return out if out.ndim else out[()]
 
 

@@ -7,6 +7,7 @@ report is reproducible (runtime_seconds aside) for identical parameters.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
@@ -399,12 +400,13 @@ def check_resolution_identity(mmax: int = 2, betas=(0.0, 1.0), nmax: int = 4, se
     for beta in betas:
         rule = quadrature.polar_rule(64, 256, beta)
         zpts = rule.complex_points()
-        tvals = np.abs(zpts) ** 2
+        # the bracket depends on |z| alone: one evaluation per radial node
+        radii, ring = np.unique(rule.nodes[:, 0], return_inverse=True)
         for m in range(mmax + 1):
             # eta_density = N * (z zbar)^beta e^{-z zbar}; the rule already
             # integrates against the (z zbar)^beta e^{-z zbar} factor, and the
             # normalized coefficients carry 1/sqrt(N) each
-            nvals = coherent._bracket_diag(tvals, m, beta)
+            nvals = coherent._bracket(radii, radii, m, beta).real[ring]
             coeffs = np.array(
                 [np.conjugate(poly2d.p_norm(poly2d.ModeIndex(n, m, beta), zpts)) for n in range(nmax + 1)]
             ) / np.sqrt(nvals)
@@ -437,11 +439,11 @@ def check_density_positivity(
     argmin = None
     for beta in betas:
         for m in range(mmax + 1):
-            for r in radii:
-                val = coherent.eta_density(complex(r), m, beta)
-                if val < min_val:
-                    min_val = val
-                    argmin = {"m": m, "beta": beta, "radius": float(r)}
+            vals = coherent.eta_density(radii, m, beta)
+            i = int(np.argmin(vals))
+            if vals[i] < min_val:
+                min_val = float(vals[i])
+                argmin = {"m": m, "beta": beta, "radius": float(radii[i])}
     return VerificationReport(
         check_name="density-positivity",
         parameters={"mmax": mmax, "betas": list(betas), "grid_points": grid_points},
@@ -554,8 +556,11 @@ EXTRA_SUITES = {
 def run_suite(names, seed: int = DEFAULT_SEED, jobs: int = 1, **overrides) -> list[VerificationReport]:
     """Run the named checks (or all ten default ones) and return reports.
 
-    Checks are independent; with jobs > 1 they run in worker processes and
-    are returned in the declared suite order regardless of completion order.
+    Each override (e.g. ``mmax=2``) is passed to every named check whose
+    signature takes it; one that none of them takes raises ValueError before
+    anything runs.  Checks are independent; with jobs > 1 they run in worker
+    processes and are returned in the declared suite order regardless of
+    completion order.
     """
     if names in ("all", None):
         names = list(SUITES)
@@ -563,10 +568,16 @@ def run_suite(names, seed: int = DEFAULT_SEED, jobs: int = 1, **overrides) -> li
     if unknown:
         raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
     funcs = {n: (SUITES.get(n) or EXTRA_SUITES[n]) for n in names}
+    kwargs = {
+        n: {k: v for k, v in overrides.items() if k in inspect.signature(f).parameters} for n, f in funcs.items()
+    }
+    unused = [k for k in overrides if not any(k in kw for kw in kwargs.values())]
+    if unused:
+        raise ValueError(f"no selected check takes {', '.join(unused)} (selected: {', '.join(names)})")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {n: pool.submit(f, seed=seed) for n, f in funcs.items()}
+            futures = {n: pool.submit(f, seed=seed, **kwargs[n]) for n, f in funcs.items()}
             return [futures[n].result() for n in names]
-    return [funcs[n](seed=seed) for n in names]
+    return [funcs[n](seed=seed, **kwargs[n]) for n in names]

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from cstk import cli
+from cstk import cli, verify
 from cstk.formats import format_complex, parse_complex
 
 
@@ -130,6 +130,29 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "kernel-reduction", "--mmax", "2")
         assert code == 0
         assert "[PASS] kernel-reduction" in out
+
+    def test_flag_the_check_does_not_take(self, capsys):
+        code = cli.main(["verify", "quadrature", "--mmax", "2"])
+        assert code == 2
+        assert "mmax" in capsys.readouterr().err
+
+    def test_all_forwards_mmax(self, capsys, tmp_path):
+        out_dir = tmp_path / "reports"
+        code, out = run(capsys, "--out", str(out_dir), "verify", "all", "--mmax", "1")
+        assert code == 0
+        assert out.count("[PASS]") == len(verify.SUITES)
+        for name in ("overlap", "kernel-reduction", "transform", "resolution-identity", "density-positivity"):
+            assert json.loads((out_dir / f"{name}.json").read_text())["params"]["mmax"] == 1
+
+    def test_type_error_inside_a_check_surfaces(self, monkeypatch):
+        def broken(mmax: int = 4, seed: int = 0):
+            if mmax != 4:
+                raise TypeError("raised inside the check")
+            return verify.check_quadrature(seed=seed)
+
+        monkeypatch.setitem(verify.SUITES, "overlap", broken)
+        with pytest.raises(TypeError, match="inside the check"):
+            cli.main(["verify", "overlap", "--mmax", "2"])
 
 
 class TestConfig:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cstk.coherent import (
     CoherentSpec,
-    _bracket_diag,
+    _bracket,
     eta_density,
     gnlcs_coeff,
     kernel_K,
@@ -86,7 +86,7 @@ class TestNormalization:
         beta = 0.6
         for z in [0.5 + 0.5j, 1.4 - 0.3j]:
             spec = CoherentSpec(z=z, idx_m=m, beta=beta)
-            ref = _bracket_diag((z * z.conjugate()).real, m, beta)
+            ref = _bracket(z, z, m, beta)
             assert norm_series(spec) == pytest.approx(ref, rel=1e-9)
 
     def test_budget_error(self):
@@ -118,6 +118,37 @@ class TestOverlap:
     def test_hermitian(self):
         z, w, m, beta = 0.9 + 0.2j, -0.4 + 0.8j, 2, 1.1
         assert overlap_closed(z, w, m, beta) == pytest.approx(np.conjugate(overlap_closed(w, z, m, beta)), rel=1e-12)
+
+    @pytest.mark.xfail(
+        np.finfo(np.longdouble).eps >= 1e-16,
+        reason="the closed bracket needs a long double wider than float64 here",
+        strict=False,
+    )
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.7, 2.3])
+    def test_closed_vs_series_m8_large_z(self, beta):
+        # the (k, l) sum of the closed form cancels to ~1e-9 of its terms here,
+        # so summing it in float64 misses 1e-8 against the series
+        rng = np.random.default_rng(8)
+        for _ in range(8):
+            z, w = rng.uniform(1.5, 3.0, 2) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 2))
+            a = overlap_closed(z, w, 8, beta)
+            b = overlap_series(z, w, 8, beta)
+            assert abs(a - b) <= 1e-8 * abs(b)
+
+
+class TestBracket:
+    @pytest.mark.parametrize("m", [0, 3, 8])
+    def test_arrays_match_pointwise(self, m):
+        beta = 1.7
+        z = np.array([[0.3 + 0.2j, 1.9 - 0.4j, 0.0], [2.5j, -1.1 + 0.3j, 0.05]])
+        w = np.array([0.7 - 0.1j, -0.4 + 1.2j, 1.5 + 0j])
+        vals = _bracket(z, w, m, beta)
+        assert vals.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                ref = _bracket(z[i, j], w[j], m, beta)
+                scale = math.sqrt(_bracket(z[i, j], z[i, j], m, beta).real * _bracket(w[j], w[j], m, beta).real)
+                assert abs(vals[i, j] - ref) <= 1e-14 * scale
 
 
 class TestKernel:
@@ -164,9 +195,23 @@ class TestEtaDensity:
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_positive_on_grid(self, m):
+        radii = np.geomspace(1e-2, 6.0, 25)
         for beta in [0.0, 0.5, 2.3]:
-            for r in np.geomspace(1e-2, 6.0, 25):
+            for r in radii:
                 assert eta_density(complex(r), m, beta) >= -1e-12
+            vals = eta_density(radii, m, beta)
+            assert vals.shape == radii.shape
+            assert np.all(vals >= -1e-12)
+            # the scalar and the array route differ in how far past the tail
+            # test each 2F2 runs, which a tight test takes out, and in rounding,
+            # which the (k, l) cancellation (to 5e-8 at m = 4, r = 6) amplifies
+            tight = SeriesControl(rel_tol=1e-17)
+            vals = eta_density(radii, m, beta, tight)
+            for r, val in zip(radii, vals):
+                assert val == pytest.approx(eta_density(complex(r), m, beta, tight), rel=1e-11, abs=1e-300)
+
+    def test_scalar_input_gives_float(self):
+        assert isinstance(eta_density(0.7 + 0.2j, 2, 0.5), float)
 
     def test_matches_norm_times_weight(self):
         z, m, beta = 1.1 + 0.7j, 2, 0.8

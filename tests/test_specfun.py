@@ -185,6 +185,54 @@ class TestHypPFQ:
         t = np.array([0.0, 1.0, 2.0], dtype=complex)
         np.testing.assert_allclose(hyp_pfq([1.0], [1.0], t), np.exp(t), rtol=1e-13)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 2.3])
+    def test_parameter_grid_matches_scalar_calls(self, beta):
+        # a tight tail test, so that neither route stops a term earlier than
+        # the other and only rounding can separate them
+        ctl = SeriesControl(rel_tol=1e-17)
+        m = 4
+        b = np.arange(m + 1) + beta + 1.0
+        t = np.array([0.0, 0.5, -1.2 + 0.7j, 2.5j, -4.0, 4.0])
+        grid = hyp_pfq([1.0, m + beta + 1.0], [b[:, None, None], b[None, :, None]], t, ctl)
+        assert grid.shape == (m + 1, m + 1, len(t))
+        for i in range(m + 1):
+            for j in range(m + 1):
+                for k, tk in enumerate(t):
+                    ref = hyp_pfq([1.0, m + beta + 1.0], [b[i], b[j]], tk, ctl)
+                    assert abs(grid[i, j, k] - ref) <= 1e-15 * abs(ref)
+
+    def test_mixed_scale_elements_each_converge(self):
+        # F(-6) is 1e5-1e7 times smaller than F(6) at the same term sizes; each
+        # element must still meet its own tail test, as a scalar call does
+        t = np.array([-6.0, 6.0])
+        vals = hyp_pfq([1.0, 5.7], [np.array([[1.7], [3.7]]), 1.2], t)
+        for i, b in enumerate([1.7, 3.7]):
+            for k, tk in enumerate(t):
+                with mp.workdps(30):
+                    ref = complex(mp.hyper([1.0, 5.7], [b, 1.2], tk))
+                assert vals[i, k] == pytest.approx(ref, rel=1e-12)
+
+    def test_array_denominator_pole(self):
+        with pytest.raises(PoleError):
+            hyp_pfq([1.0], [np.array([0.5, 1.5, -3.0])], 0.5)
+        with pytest.raises(PoleError):
+            hyp_pfq([1.0, 2.0], [np.array([[1.5], [2.5]]), np.array([0.0, 4.0])], np.array([0.1, 0.2]))
+
+    def test_long_double_argument_keeps_precision(self):
+        t = np.array([1.0, 2.0], dtype=np.longdouble)
+        assert hyp_pfq([1.0], [1.0], t).dtype == np.clongdouble
+        assert hyp_pfq([1.0], [1.0], t.astype(float)).dtype == np.complex128
+
+    def test_scalar_callers_unchanged(self):
+        # pinned values: array parameters must leave the scalar route bit-for-bit
+        cases = [
+            ((0.5,), (1.5,), -3.25, 0.4862872445787076),
+            ((2.3,), (3.3,), -10.0, 0.013437207878535135),
+            ((1.0,), (2.0,), -7.5, 0.13325958875064706),
+        ]
+        for numer, denom, t, ref in cases:
+            assert hyp_pfq(numer, denom, t) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
 
 class TestMittagLeffler:
     def test_exponential_case(self):

@@ -84,6 +84,17 @@ class TestSuiteRunner:
         reports = verify.run_suite(["quadrature", "kummer-normalization"])
         assert [r.check_name for r in reports] == ["quadrature", "kummer-normalization"]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_overrides_reach_the_checks_that_take_them(self, jobs):
+        reports = verify.run_suite(["overlap", "quadrature"], jobs=jobs, mmax=1)
+        assert [r.check_name for r in reports] == ["overlap", "quadrature"]
+        assert reports[0].parameters["mmax"] == 1
+        assert all(r.passed for r in reports)
+
+    def test_override_no_check_takes(self):
+        with pytest.raises(ValueError, match="mmax"):
+            verify.run_suite(["quadrature"], mmax=1)
+
     def test_registry_has_ten_default_suites(self):
         assert len(verify.SUITES) == 10
 

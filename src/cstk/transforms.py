@@ -2,9 +2,9 @@
 associated Hermite basis, the basis itself, the generalized Bargmann kernels
 and the quadrature application of the transform.
 
-Kernel conventions.  kernel_B(m, beta, z, x) is the fixed-m kernel written as
-the finite Hermite-Laguerre sum plus the z^m Lauricella part, normalized so
-that kernel_B(0, beta, .) == kernel_B_analytic(beta, .) and
+Kernel conventions.  kernel_B(m, beta, z, x) is the fixed-m kernel in its
+generating form B_{beta,m}(z, x) = sqrt(Gamma(beta+1)) sum_n P~_{n,m}(zbar) phi_n(x),
+normalized so that kernel_B(0, beta, .) == kernel_B_analytic(beta, .) and
 kernel_B(m, 0, .) equals the true-polyanalytic closed form.  The transform
 itself evaluates
 
@@ -12,13 +12,15 @@ itself evaluates
 
 the composition that sends the basis function phi_n to the orthonormal
 polynomial P~_{n,m}(z, zbar) with proportionality constant 1 (the kernel
-is a function of zbar, so the evaluation point enters conjugated).
+is a function of zbar, so the evaluation point enters conjugated).  Both sum
+the same closed-form rows P~_{n,m} (_p_rows); the paper's Hermite-Laguerre
+plus Lauricella form of the kernel is kept as the oracle kernel_B_mp.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -35,7 +37,6 @@ from .specfun import (
     assoc_hermite,
     gamma_fn,
     hermite,
-    laguerre,
     lauricella_triple,
     pcf_D,
     pochhammer,
@@ -53,16 +54,7 @@ __all__ = [
     "apply_transform",
 ]
 
-_ZERO_RING = 1e-3  # |z| of the extrapolation ring for the z -> 0 limit
-_ZERO_CUT = 1e-4  # below this |z| the m >= 1 kernel switches to the ring
 _EPS_LD = float(np.finfo(np.longdouble).eps)
-
-
-def _poch_ld(a: float, k: int) -> np.longdouble:
-    out = np.longdouble(1.0)
-    for i in range(k):
-        out *= np.longdouble(a) + i
-    return out
 
 
 @dataclass(frozen=True)
@@ -92,11 +84,8 @@ class SampledFunction:
     def sample(self, x: np.ndarray) -> np.ndarray:
         """Values at arbitrary abscissae (cubic spline for grids, zero outside)."""
         if self.kind == "coeffs":
-            out = np.zeros(len(x), dtype=complex)
-            for n, a in enumerate(self.coeffs):
-                if a != 0:
-                    out += a * basis_phi(n, x, self.beta)
-            return out
+            x = np.asarray(x, dtype=float)
+            return sum((a * phi for a, phi in zip(self.coeffs, _phi_rows(self.beta, x))), np.zeros(len(x), complex))
         spline_re = CubicSpline(self.x, np.real(self.values))
         out = spline_re(x).astype(complex)
         if np.iscomplexobj(self.values):
@@ -269,37 +258,46 @@ def kernel_B_analytic(beta: float, z: complex, x: float, ctl: SeriesControl = DE
     return lauricella_triple(beta + 1.0, beta, math.sqrt(2.0) * x * zc, -zc * zc / 2.0, -zc * zc, ctl)
 
 
-def _hermite_weighted_sum(coeff_fn, t, x: np.ndarray, beta: float, ctl: SeriesControl, min_terms: int):
-    """sum_j coeff_fn(j) t^j H_j(x, beta) with joint tail control over x.
+def _p_rows(m: int, beta: float, w):
+    """Endless generator of sqrt(Gamma(beta+1)) P~_{n,m}(w), n = 0, 1, ..., at a
+    scalar or array w, in its precision (complex128 or clongdouble):
 
-    Accumulates in extended precision: the partial sums can exceed the result
-    by factors up to ~e^{(x/sqrt2 - Re z)^2}, so 64-bit accumulation would not
-    support the 1e-8 certification at the far corners of the sample box.
-    Returns (sum, elementwise sum of |term|) so callers can bound the
-    rounding error that the cancellation leaves behind.
+        n <  m:  (-1)^n wbar^{m-n} L_n^(m-n+beta)(|w|^2) sqrt(n! / Gamma(beta+m+1))
+        n >= m:  (-1)^m sqrt(m!) w^{n-m} L_m^(n-m+beta)(|w|^2) / sqrt(Gamma(beta+n+1)),
+
+    with no negative power of |w|.  One recurrence in the degree starts every
+    Laguerre factor; from row to row L_k^(alpha+1) = sum_{j<=k} L_j^(alpha).
     """
-    h_prev = np.zeros_like(x)
-    h = np.ones_like(x)
-    tj = np.clongdouble(1.0)
-    total = np.zeros(len(x), dtype=np.clongdouble)
-    absum = np.zeros(len(x), dtype=float)
-    prev_mag = math.inf
-    for j in range(ctl.max_terms + 1):
-        c = coeff_fn(j)
-        term = (c * tj) * h
-        total += term
-        absum += np.abs(term).astype(float)
-        mag = float(np.max(np.abs(term)))
-        # tail relative to the *current* total: partial sums overshoot the
-        # limit by the full cancellation factor, so the running peak is not a
-        # sound truncation scale
-        scale = max(float(np.max(np.abs(total))), 1e-300)
-        if j >= min_terms and mag <= ctl.rel_tol * scale and prev_mag <= ctl.rel_tol * scale:
-            return total, absum
-        prev_mag = mag
-        h, h_prev = 2.0 * x * h - 2.0 * (j + beta) * h_prev, h
-        tj = tj * t
-    raise ConvergenceError(f"kernel Hermite series not converged in {ctl.max_terms} terms")
+    w = np.asarray(w)
+    real = w.real.dtype.type
+    u = (w * np.conj(w)).real
+    alpha = real(beta) + np.arange(m, -1, -1, dtype=real).reshape((m + 1,) + (1,) * u.ndim)
+    prev, cur = np.zeros_like(alpha * u), np.ones_like(alpha * u)
+    table = [cur]  # table[k][i] = L_k^(m-i+beta)(u)
+    for k in range(m):
+        prev, cur = cur, ((2 * k + 1 + alpha - u) * cur - (k + alpha) * prev) / (k + 1)
+        table.append(cur)
+    poch_m = np.prod(real(beta) + np.arange(1, m + 1, dtype=real))  # (beta+1)_m
+    for n in range(m):
+        yield (-1) ** n * np.sqrt(real(math.factorial(n)) / poch_m) * np.conj(w) ** (m - n) * table[n][n]
+    lag = np.array([t[m] for t in table])  # L_k^(beta)(u), k = 0..m
+    mono = (-1) ** m * np.sqrt(real(math.factorial(m)) / poch_m) * np.ones_like(w)
+    for n in itertools.count(m):
+        yield mono * lag[m]
+        mono = mono * w * (1 / np.sqrt(real(beta) + n + 1))
+        for k in range(1, m + 1):  # in place: np.cumsum over axis 0 is ~10x slower
+            lag[k] += lag[k - 1]
+
+
+def _phi_rows(beta: float, x: np.ndarray):
+    """Endless generator of phi_n(x), n = 0, 1, ..., in the precision of x, by
+    phi_{k+1} = (sqrt2 x phi_k - sqrt(k+beta) phi_{k-1}) / sqrt(k+1+beta)."""
+    real = x.dtype.type
+    sqrt2x = np.sqrt(real(2.0)) * x
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k in itertools.count():
+        yield cur
+        prev, cur = cur, (sqrt2x * cur - np.sqrt(real(beta) + k) * prev) / np.sqrt(real(beta) + k + 1)
 
 
 def kernel_B(
@@ -310,79 +308,43 @@ def kernel_B(
     ctl: SeriesControl = DEFAULT_CONTROL,
     return_error_estimate: bool = False,
 ):
-    """Fixed-m generalized Bargmann kernel B_{beta,m}(z, x).
-
-    Finite Hermite-Laguerre sum over n < m plus the z^m part
-
-        (z^m/sqrt(m!)) sum_{k=0}^m (-m)_k/(k! (z zbar)^k) G_k(x),
-        G_k(x) = sum_j (zbar/sqrt2)^j H_j(x, beta) rho_k(j),
-
-    where rho_k(j) = (beta+1-k)_k / (beta+1-k)_j written in the regular form
-    1/(beta+1)_{j-k} (j >= k) or (beta+1-k+j)_{k-j} (j < k), so integer beta
-    incurs no Gamma poles.  The z -> 0 limit for m >= 1 is evaluated on an
-    |z| = 1e-3 ring with Richardson extrapolation (a warning flags it).
-    ``x`` may be an ndarray; with return_error_estimate=True a per-point bound
-    on the rounding error left by series cancellation accompanies the values.
+    """Fixed-m generalized Bargmann kernel B_{beta,m}(z, x) in its generating
+    form (module docstring), summed in long double until two successive terms
+    are below ctl.rel_tol of the partial sum (or its rounding error) at every
+    x; past ctl.max_terms it raises ConvergenceError.  ``x`` may be an ndarray.
+    return_error_estimate=True adds (eps sum|term| + last terms) / |value|
+    per point: rounding, truncation and the final rounding to complex128.
+    The terms exceed the value by about e^{(x/sqrt2 - Re z)^2}, so the
+    estimate grows where x and Re z are large with opposite signs.
     """
-    z = complex(z)
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.longdouble))
-    if m >= 1 and abs(z) < _ZERO_CUT:
-        out = _kernel_B_near_zero(m, beta, np.asarray(x_arr, dtype=float), ctl)
-        if return_error_estimate:
-            err = np.full(len(out), _ZERO_RING**4)
-            return (out, err) if np.ndim(x) else (complex(out[0]), float(err[0]))
-        return out if np.ndim(x) else complex(out[0])
-    zl = np.clongdouble(z)
-    zc = np.conjugate(zl)
-    u = (zl * zc).real
-    t = zc / np.longdouble(math.sqrt(2.0))
-
+    terms = zip(_p_rows(m, beta, np.clongdouble(complex(z).conjugate())), _phi_rows(beta, x_arr))
     total = np.zeros(len(x_arr), dtype=np.clongdouble)
-    absum = np.zeros(len(x_arr), dtype=float)
-    for n in range(m):
-        coeff_a = (
-            (-1.0) ** n
-            * zl ** (m - n)
-            * math.sqrt(math.factorial(n) / (pochhammer(beta + 1.0, m) * pochhammer(beta + 1.0, n)))
-            * laguerre(n, m - n + beta, u)
-        )
-        coeff_b = (
-            (-1.0) ** m
-            * zc ** (n - m)
-            * math.sqrt(math.factorial(m))
-            / pochhammer(beta + 1.0, n)
-            * laguerre(m, n - m + beta, u)
-        )
-        hn = assoc_hermite(n, x_arr, beta)
-        total += 2.0 ** (-n / 2.0) * (coeff_a - coeff_b) * hn
-        scale = 2.0 ** (-n / 2.0) * (abs(complex(coeff_a)) + abs(complex(coeff_b)))
-        absum += scale * np.abs(hn).astype(float)
-
-    zm = zl**m / math.sqrt(math.factorial(m))
-    for k in range(m + 1):
-        def rho(j: int, _k: int = k):
-            if j >= _k:
-                return 1.0 / _poch_ld(beta + 1.0, j - _k)
-            return _poch_ld(beta + 1.0 - _k + j, _k - j)
-
-        g, gabs = _hermite_weighted_sum(rho, t, x_arr, beta, ctl, min_terms=k + 4)
-        coeff = zm * (pochhammer(-float(m), k) / (math.factorial(k) * u**k))
-        total += coeff * g
-        absum += abs(complex(coeff)) * gabs
-
+    absum = mag = np.zeros(len(x_arr), dtype=np.longdouble)
+    small = 0
+    for n, (row, phi) in zip(range(ctl.max_terms + 1), terms):
+        term = row * phi
+        total += term
+        mag, prev_mag = np.abs(term), mag
+        absum = absum + mag
+        small = small + 1 if n > m and np.all(mag <= np.maximum(ctl.rel_tol * np.abs(total), _EPS_LD * absum)) else 0
+        if small == 2:
+            break
+    else:
+        raise ConvergenceError(f"kernel_B series not converged in {ctl.max_terms} terms")
     values = total.astype(complex)
     if return_error_estimate:
-        err = _EPS_LD * absum / np.maximum(np.abs(values), 1e-300)
+        err = ((_EPS_LD * absum + np.maximum(mag, prev_mag)) / np.maximum(np.abs(total), 1e-300)).astype(float)
+        err += np.finfo(float).eps
         return (values, err) if np.ndim(x) else (complex(values[0]), float(err[0]))
     return values if np.ndim(x) else complex(values[0])
 
 
 def kernel_B_mp(m: int, beta: float, z: complex, x: float, dps: int = 40) -> complex:
-    """Arbitrary-precision evaluation of the same kernel_B series.
-
-    Slow scalar fallback for points where the fixed-precision route reports
-    an error estimate too large for the certification at hand (deep
-    cancellation near the corners of the (z, x) box).
+    """Arbitrary-precision kernel by the paper's route: the finite
+    Hermite-Laguerre sum over n < m plus the z^m Lauricella part, whose
+    (z zbar)^{-k} terms cancel for small |z| (raise dps by about
+    2m log10(1/|z|)).  A slow scalar oracle, independent of kernel_B.
     """
     import mpmath as mp
 
@@ -434,96 +396,6 @@ def kernel_B_mp(m: int, beta: float, z: complex, x: float, dps: int = 40) -> com
         return complex(total)
 
 
-def _kernel_B_near_zero(m: int, beta: float, x_arr: np.ndarray, ctl: SeriesControl) -> np.ndarray:
-    warnings.warn("kernel_B evaluated at z ~ 0 by ring extrapolation", stacklevel=3)
-
-    def ring_mean(eps: float) -> np.ndarray:
-        acc = np.zeros(len(x_arr), dtype=complex)
-        for phase in (1.0, 1j, -1.0, -1j):
-            acc += kernel_B(m, beta, eps * phase, x_arr, ctl)
-        return acc / 4.0
-
-    a1 = ring_mean(_ZERO_RING)
-    a2 = ring_mean(2.0 * _ZERO_RING)
-    return (4.0 * a1 - a2) / 3.0
-
-
-def _batch_quadrature(m: int, beta: float, ws, x: np.ndarray, wf: np.ndarray, ctl: SeriesControl) -> np.ndarray:
-    """sum_i kernel_B(m, beta, w, x_i) wf_i for every w in ws, done jointly.
-
-    Same quadrature sum as the scalar route, but reassociated: the kernel is
-    a Hermite series sum_j c_j(w) H_j(x), so the x-contraction d_j = sum_i
-    H_j(x_i) wf_i is shared across targets and the result is just C @ d.
-    Uses the norm-scaled recurrence hbar_j = H_j / (2^{j/2} sqrt(j!)) to keep
-    every intermediate inside double range.
-    """
-    ws = np.asarray(ws, dtype=complex)
-    nt = len(ws)
-    u = np.abs(ws) ** 2
-    t = np.conjugate(ws) / math.sqrt(2.0)
-
-    # per-target coefficient columns cbar_j for the j-scaled basis
-    # hbar_j = H_j / s_j, s_j = 2^{j/2} sqrt(j!).  For each k the combined
-    # weight q_k(j) = t^j s_j rho_k(j) obeys a bounded one-step recurrence
-    # (the 1/(beta+1)_{j-k} decay beats the s_j growth), so nothing overflows.
-    cols: list[np.ndarray] = []
-    peak = np.zeros(nt)
-    small = np.zeros(nt, dtype=int)
-    zm = ws**m / math.sqrt(math.factorial(m))
-    ak = [zm * pochhammer(-float(m), k) / (math.factorial(k) * u**k) for k in range(m + 1)]
-    sqrt2t = math.sqrt(2.0) * t
-    qs = [None] * (m + 1)
-    j = 0
-    while True:
-        cj = np.zeros(nt, dtype=complex)
-        for k in range(m + 1):
-            if j < k:
-                q = sqrt2t**j * math.sqrt(math.factorial(j)) * pochhammer(beta + 1.0 - k + j, k - j)
-            elif j == k:
-                q = sqrt2t**k * math.sqrt(math.factorial(k)) * np.ones(nt, dtype=complex)
-            else:
-                q = qs[k] * sqrt2t * (math.sqrt(j) / (beta + j - k))
-            qs[k] = q
-            cj += ak[k] * q
-        if j < m:
-            n = j
-            ca = (
-                (-1.0) ** n
-                * ws ** (m - n)
-                * math.sqrt(math.factorial(n) / (pochhammer(beta + 1.0, m) * pochhammer(beta + 1.0, n)))
-                * laguerre(n, m - n + beta, u)
-            )
-            cb = (
-                (-1.0) ** m
-                * np.conjugate(ws) ** (n - m)
-                * math.sqrt(math.factorial(m))
-                / pochhammer(beta + 1.0, n)
-                * laguerre(m, n - m + beta, u)
-            )
-            cj += (ca - cb) * math.sqrt(math.factorial(n))
-        cols.append(cj)
-        mag = np.abs(cj)
-        peak = np.maximum(peak, mag)
-        small = np.where(mag <= 1e-20 * peak, small + 1, 0)
-        j += 1
-        if j > max(m + 4, 8) and np.all(small >= 3):
-            break
-        if j > 4 * ctl.max_terms:
-            raise ConvergenceError("batched kernel coefficients not converged")
-    cmat = np.array(cols).T  # (nt, J)
-
-    nj = cmat.shape[1]
-    d = np.zeros(nj, dtype=complex)
-    h_prev = np.zeros_like(x)
-    h = np.ones_like(x)
-    for jj in range(nj):
-        d[jj] = np.sum(h * wf)
-        r1 = math.sqrt(2.0 / (jj + 1.0))
-        r2 = (jj + beta) / math.sqrt(max(jj, 1) * (jj + 1.0)) if jj >= 1 else 0.0
-        h, h_prev = r1 * x * h - r2 * h_prev, h
-    return cmat @ d
-
-
 def apply_transform(
     f: SampledFunction,
     m: int,
@@ -536,25 +408,32 @@ def apply_transform(
 
     The rule must integrate against domega_beta (weights folded in, as
     produced by adaptive_line on omega_weight).  For f = phi_n the result is
-    P~_{n,m}(z, zbar) at each target.
+    P~_{n,m}(z, zbar) at each target.  The quadrature sum of f against the
+    kernel is reassociated: projections d_n = sum_i w_i phi_n(x_i) f(x_i),
+    then sum_n d_n P~_{n,m}(z) at all targets, row by row, until at every
+    target two successive rows bound below ctl.rel_tol of their peak (the
+    bound ||phi_n|| |P~_{n,m}(z)| of |d_n P~_{n,m}(z)| / ||f||, rule norm).
     """
     if abs(f.beta - beta) > 1e-12:
         raise ValueError("function beta and transform beta disagree")
     x = np.asarray(rule.nodes, dtype=float)
     fv = f.sample(x)
-    wf = rule.weights * fv
-    scale = 1.0 / math.sqrt(gamma_fn(beta + 1.0))
-    targets = [complex(z) for z in targets]
-    out = np.zeros(len(targets), dtype=complex)
-    regular = {i for i, z in enumerate(targets) if not (m >= 1 and abs(z) < _ZERO_CUT)}
-    if regular:
-        idx = sorted(regular)
-        ws = np.array([targets[i].conjugate() for i in idx])
-        vals = _batch_quadrature(m, beta, ws, x, wf, ctl)
-        for i, v in zip(idx, vals):
-            out[i] = v * scale
-    for i, z in enumerate(targets):
-        if i not in regular:
-            kv = kernel_B(m, beta, z.conjugate(), x, ctl)
-            out[i] = complex(np.sum(wf * kv)) * scale
+    f_parts = np.array([fv.real, fv.imag])
+    zs = np.asarray(targets, dtype=complex).ravel()
+    out = np.zeros(len(zs), dtype=complex)
+    peak = np.zeros(len(zs))
+    small = 0
+    for n, row, phi in zip(range(ctl.max_terms + 1), _p_rows(m, beta, zs), _phi_rows(beta, x)):
+        # einsum, not np.dot or @: a threaded BLAS call costs milliseconds at these lengths
+        wphi = rule.weights * phi
+        d_re, d_im = np.einsum("ij,j->i", f_parts, wphi)
+        out += complex(d_re, d_im) * row
+        bound = math.sqrt(abs(np.einsum("i,i->", wphi, phi))) * np.abs(row)
+        peak = np.maximum(peak, bound)
+        small = small + 1 if n > m and np.all(bound <= ctl.rel_tol * peak) else 0
+        if small == 2:
+            break
+    else:
+        raise ConvergenceError(f"transform series not converged in {ctl.max_terms} terms")
+    out /= math.sqrt(gamma_fn(beta + 1.0))
     return [complex(v) for v in out]

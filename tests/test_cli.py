@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from cstk import cli, verify
+from cstk import cli, transforms, verify
 from cstk.formats import format_complex, parse_complex
 
 
@@ -36,6 +36,13 @@ class TestEval:
         code, out = run(capsys, "eval", "kernel", "--analytic", "--beta", "0", "--z", "1+0i", "--x", "0")
         assert code == 0
         assert get_value(out, "B_beta(z,x)").real == pytest.approx(math.exp(-0.5), rel=1e-12)
+
+    def test_small_z_kernel(self, capsys):
+        # printed 0.40234375-1.4365234375i (relative error 2.9) before the generating form
+        code, out = run(capsys, "eval", "kernel", "--m", "8", "--beta", "0.5", "--z", "0.01+0.003i", "--x", "0.7")
+        assert code == 0
+        ref = transforms.kernel_B_mp(8, 0.5, 0.01 + 0.003j, 0.7, dps=80)
+        assert abs(get_value(out, "B_{beta,m}(z,x)") - ref) <= 1e-10 * abs(ref)
 
     def test_poly_trivial(self, capsys):
         code, out = run(capsys, "eval", "poly", "--n", "0", "--m", "0", "--beta", "1", "--z", "2+1i")

@@ -1,5 +1,9 @@
 import cmath
+import itertools
+import json
 import math
+import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -20,6 +24,24 @@ from cstk.transforms import (
     load_sampled,
     omega_weight,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
+# the regression sweep; z = 0 is added to the radii and checked against its closed limit
+SWEEP_GRID = {"m": list(range(9)), "beta": [0.0, 0.5, 2.3], "r": [1e-6, 1e-4, 1e-2, 0.1, 1.0, 3.0],
+              "phase": [0.3, 2.5], "x": [-3.0, 0.7, 3.0]}
+# small-|z| points where the Hermite-Laguerre + Lauricella form of the kernel
+# cancels; the same four points are kept by the benchmark's eval workload
+KERNEL_B_FAULT_POINTS = (
+    (8, 0.5, 0.01 + 0.003j, 0.7),
+    (8, 0.5, 0.1 + 0.0j, 0.7),
+    (4, 0.5, 1.01e-4 + 0.0j, 0.3),
+    (4, 0.5, 5e-5 + 0.0j, 0.3),
+)
+
+
+def _zero_limit(m, beta, x):
+    """kernel_B at z = 0: sqrt(Gamma(beta+1)) P~_{m,m}(0) phi_m(x)."""
+    return math.sqrt(gamma_fn(beta + 1.0)) * p_norm(ModeIndex(m, m, beta), 0.0) * basis_phi(m, x, beta)
 
 
 @pytest.fixture(scope="module")
@@ -141,17 +163,44 @@ class TestKernels:
         ref = kernel_B_true_poly(3, 1.0 + 0.5j, 0.8)
         assert abs(val - ref) <= max(10.0 * err, 1e-11) * abs(ref)
 
-    def test_near_zero_ring(self):
+    def test_zero_limit_without_warning(self):
         m, beta = 2, 0.8
         x = np.array([0.4, 1.1])
-        limit = (
-            math.sqrt(gamma_fn(beta + 1.0))
-            * np.conjugate(p_norm(ModeIndex(m, m, beta), 0.0))
-            * basis_phi(m, x, beta)
-        )
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             vals = kernel_B(m, beta, 0.0, x)
-        np.testing.assert_allclose(vals, limit, rtol=1e-9)
+        np.testing.assert_allclose(vals, _zero_limit(m, beta, x), rtol=1e-12)
+
+    def test_sweep_against_oracle(self):
+        # |z| from 0 to 3 at two phases, every m <= 8: kernel_B_mp (the paper's
+        # Hermite-Laguerre + Lauricella form, stored by
+        # scripts/kernel_sweep_reference.py) for z != 0, the closed limit at z = 0
+        data = json.loads((DATA / "kernel_B_sweep.json").read_text())
+        refs = {tuple(row[:5]): complex(row[5], row[6]) for row in data["values"]}
+        assert data["grid"] == SWEEP_GRID
+        g = SWEEP_GRID
+        cancelling = []
+        for m, beta, r, phase, x in itertools.product(g["m"], g["beta"], [0.0] + g["r"], g["phase"], g["x"]):
+            val, est = kernel_B(m, beta, complex(r * np.exp(1j * phase)), x, return_error_estimate=True)
+            ref = _zero_limit(m, beta, x) if r == 0.0 else refs[(m, beta, r, phase, x)]
+            err = abs(val - ref) / abs(ref)
+            if r == 0.0:
+                assert err <= 1e-12, (m, beta, x, err)
+                continue
+            assert err <= est, (m, beta, r, phase, x, err, est)  # the estimate bounds the error
+            if err > 1e-12:
+                cancelling.append((m, beta, r, phase, x, err))
+        # The only points above 1e-12: |z| = 3 and |x| = 3 with x and Re z of
+        # opposite signs, where the terms exceed the value by ~e^{(x/sqrt2 - Re z)^2}
+        # ~ 1e10 and long-double rounding is left at up to 1e-9 (estimate above).
+        assert all(r == 3.0 and x * math.cos(phase) < 0 and abs(x) == 3.0 and err <= 1e-8
+                   for m, beta, r, phase, x, err in cancelling), cancelling
+        assert len(cancelling) <= 12, cancelling  # 6 of the 54 corner points today
+
+    @pytest.mark.parametrize("m,beta,z,x", KERNEL_B_FAULT_POINTS)
+    def test_small_z_fault_points(self, m, beta, z, x):
+        ref = kernel_B_mp(m, beta, z, x, dps=40 + math.ceil(2 * m * math.log10(1.0 / abs(z))))
+        assert abs(kernel_B(m, beta, z, x) - ref) <= 1e-12 * abs(ref)
 
 
 class TestApplyTransform:
@@ -192,6 +241,18 @@ class TestApplyTransform:
             kv = kernel_B(m, beta, np.conjugate(complex(z)), rule.nodes)
             ref = complex(np.sum(rule.weights * fv * kv)) / math.sqrt(gamma_fn(beta + 1.0))
             assert v == pytest.approx(ref, rel=1e-11)
+
+    def test_small_z_targets(self):
+        # the Hermite-Laguerre form of the kernel cancelled by up to 4e8 here
+        beta = 0.5
+        rule = adaptive_line(lambda x: omega_weight(x, beta), 1e-11, 16)
+        targets = [0.0, 1e-6, 0.01]
+        for n in (0, 2, 5):
+            f = SampledFunction(kind="coeffs", beta=beta, coeffs=np.eye(n + 1)[n])
+            for m in (4, 8):
+                vals = apply_transform(f, m, beta, targets, rule)
+                for v, z in zip(vals, targets):
+                    assert abs(v - p_norm(ModeIndex(n, m, beta), z)) <= 1e-8, (n, m, z)
 
     def test_grid_and_coefficient_paths_agree(self, rules):
         beta, m = 0.0, 1

@@ -37,8 +37,6 @@ class CliConfig:
     rel_tol: float = 1e-13
     abs_tol: float = 0.0
     max_terms: int = 500
-    n_r: int = 64
-    n_theta: int = 256
     seed: int = verify.DEFAULT_SEED
     output_format: str = "json"
 
@@ -52,8 +50,6 @@ def _load_config_file(path: Path) -> dict:
         "rel_tol": float,
         "abs_tol": float,
         "max_terms": int,
-        "n_r": int,
-        "n_theta": int,
         "seed": int,
         "output_format": str,
     }
@@ -76,7 +72,7 @@ def build_config(args) -> CliConfig:
     path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
     if path:
         cfg = replace(cfg, **_load_config_file(Path(path)))
-    for key in ("rel_tol", "max_terms", "n_r", "n_theta", "seed"):
+    for key in ("rel_tol", "max_terms", "seed"):
         val = getattr(args, key, None)
         if val is not None:
             cfg = replace(cfg, **{key: val})
@@ -244,15 +240,12 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--config", default=default, help=f"config file (key = value); ${ENV_CONFIG} names a default")
     parser.add_argument("--rel-tol", dest="rel_tol", type=float, default=default)
     parser.add_argument("--max-terms", dest="max_terms", type=int, default=default)
-    parser.add_argument("--n-r", dest="n_r", type=int, default=default)
-    parser.add_argument("--n-theta", dest="n_theta", type=int, default=default)
     parser.add_argument("--seed", type=int, default=default)
     parser.add_argument("--format", choices=["json", "csv"], default=default)
     parser.add_argument("--out", default=default, help="write output to this path (verify: directory)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # allow_abbrev off so the eval flags --n/--m do not prefix-clash with --n-r
     parser = argparse.ArgumentParser(prog="cstk", description=__doc__, allow_abbrev=False)
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -34,12 +34,11 @@ from .quadrature import QuadratureRule
 from .specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
-    assoc_hermite,
+    _laguerre_rows,
     gamma_fn,
     hermite,
     lauricella_triple,
     pcf_D,
-    pochhammer,
 )
 
 __all__ = [
@@ -225,8 +224,10 @@ def omega_weight(x, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
 
 
 def basis_phi(n: int, x, beta: float):
-    """Orthonormal basis function phi_n(x) = 2^{-n/2} H_n(x, beta) / sqrt((beta+1)_n)."""
-    return 2.0 ** (-n / 2.0) * assoc_hermite(n, x, beta) / math.sqrt(pochhammer(beta + 1.0, n))
+    """Orthonormal basis function phi_n(x) = 2^{-n/2} H_n(x, beta) / sqrt((beta+1)_n),
+    by the normalized recurrence, which does not overflow at large n."""
+    out = next(itertools.islice(_phi_rows(beta, np.asarray(x, dtype=float)), n, None))
+    return out if out.ndim else out[()]
 
 
 def kernel_B_true_poly(m: int, z: complex, x):
@@ -265,18 +266,14 @@ def _p_rows(m: int, beta: float, w):
         n <  m:  (-1)^n wbar^{m-n} L_n^(m-n+beta)(|w|^2) sqrt(n! / Gamma(beta+m+1))
         n >= m:  (-1)^m sqrt(m!) w^{n-m} L_m^(n-m+beta)(|w|^2) / sqrt(Gamma(beta+n+1)),
 
-    with no negative power of |w|.  One recurrence in the degree starts every
-    Laguerre factor; from row to row L_k^(alpha+1) = sum_{j<=k} L_j^(alpha).
+    with no negative power of |w|.  The degree recurrence of specfun.laguerre
+    starts every Laguerre factor; from row to row L_k^(alpha+1) = sum_{j<=k} L_j^(alpha).
     """
     w = np.asarray(w)
     real = w.real.dtype.type
     u = (w * np.conj(w)).real
     alpha = real(beta) + np.arange(m, -1, -1, dtype=real).reshape((m + 1,) + (1,) * u.ndim)
-    prev, cur = np.zeros_like(alpha * u), np.ones_like(alpha * u)
-    table = [cur]  # table[k][i] = L_k^(m-i+beta)(u)
-    for k in range(m):
-        prev, cur = cur, ((2 * k + 1 + alpha - u) * cur - (k + alpha) * prev) / (k + 1)
-        table.append(cur)
+    table = list(itertools.islice(_laguerre_rows(alpha, u), m + 1))  # table[k][i] = L_k^(m-i+beta)(u)
     poch_m = np.prod(real(beta) + np.arange(1, m + 1, dtype=real))  # (beta+1)_m
     for n in range(m):
         yield (-1) ** n * np.sqrt(real(math.factorial(n)) / poch_m) * np.conj(w) ** (m - n) * table[n][n]

@@ -188,3 +188,12 @@ class TestConfig:
         cfg.write_text("bogus = 1\n")
         code, _ = run(capsys, "--config", str(cfg), "eval", "poly")
         assert code == 2
+
+    def test_polar_grid_options_are_gone(self, capsys, tmp_path):
+        # --n-r / --n-theta and their config keys were parsed but read by no command
+        code, _ = run(capsys, "eval", "poly", "--n-r", "8")
+        assert code == 2
+        cfg = tmp_path / "cstk.cfg"
+        cfg.write_text("n_r = 8\n")
+        code, _ = run(capsys, "--config", str(cfg), "eval", "poly")
+        assert code == 2

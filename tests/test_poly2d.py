@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -111,6 +113,15 @@ class TestIto:
     @settings(max_examples=40, deadline=None)
     def test_conjugation(self, m, n, z):
         assert ito_hermite(m, n, z) == pytest.approx(np.conjugate(ito_hermite(n, m, z)), abs=1e-10)
+
+    def test_conjugation_exact_on_grid(self):
+        # (z zbar)^min(m,n) is factored out, so the symmetry holds to the last bit
+        for r, phase in itertools.product([0.1, 0.7, 1.3, 2.2, 3.0], [0.0, 0.4, 1.9, 2.8, 4.4, 5.9]):
+            z = cmath.rect(r, phase)
+            for m, n in itertools.product(range(9), repeat=2):
+                assert ito_hermite(m, n, z) == ito_hermite(n, m, z).conjugate(), (m, n, z)
+            for m in range(9):
+                assert ito_hermite(m, m, z).imag == 0.0, (m, z)
 
     @given(st.integers(0, 6), st.integers(0, 6), points)
     @settings(max_examples=40, deadline=None)

@@ -96,6 +96,30 @@ class TestLaguerre:
         t = np.array([0.0, 1.0, 2.0])
         np.testing.assert_allclose(laguerre(1, 0.5, t), 1.5 - t)
 
+    def test_against_mpmath_on_box(self):
+        # n <= 12, alpha in [0, 4], t in [0, 12], error scaled by max(1, |L|),
+        # against the explicit power sum at 40 digits.  The recurrence runs in
+        # the dtype of t: long double input to 1e-15; float64 input to 2e-13,
+        # its own rounding (1.4e-13 at n = 12, alpha = 3.25, t = 0.8).
+        rng = np.random.default_rng(7)
+        alphas = np.concatenate([np.linspace(0.0, 4.0, 17), rng.uniform(0.0, 4.0, 8)])
+        ts = np.concatenate([np.linspace(0.0, 12.0, 61), rng.uniform(0.0, 12.0, 20)])
+        worst64 = worst_ld = 0.0
+        with mp.workdps(40):
+            tq = [mp.mpf(float(t)) for t in ts]
+            for alpha in alphas:
+                aq = mp.mpf(float(alpha))
+                for n in range(13):
+                    coeffs = [(-1) ** k * mp.rf(aq + k + 1, n - k) / (mp.factorial(n - k) * mp.factorial(k)) for k in range(n + 1)]
+                    ref = np.array([float(mp.polyval(coeffs[::-1], t)) for t in tq])
+                    scale = np.maximum(1.0, np.abs(ref))
+                    worst64 = max(worst64, float(np.max(np.abs(laguerre(n, alpha, ts) - ref) / scale)))
+                    val_ld = laguerre(n, alpha, ts.astype(np.longdouble))
+                    assert val_ld.dtype == np.longdouble
+                    worst_ld = max(worst_ld, float(np.max(np.abs(val_ld - ref) / scale)))
+        assert worst_ld <= 1e-15
+        assert worst64 <= 2e-13
+
 
 class TestHermite:
     def test_examples(self):
@@ -142,6 +166,16 @@ class TestParabolicCylinder:
         with mp.workdps(40):
             ref = complex(mp.pcfd(nu, z))
         assert pcf_D(nu, z) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [1.7, 2.3, 3.5])
+    @pytest.mark.parametrize("x", [3.0, 3.5])
+    def test_weight_argument_against_mpmath(self, beta, x):
+        # D_{-beta}(i x sqrt2) at the inner edge of the weight's series range,
+        # where the terms cancel to ~e^{-x^2} of their size
+        z = 1j * math.sqrt(2.0) * x
+        with mp.workdps(50):
+            ref = complex(mp.pcfd(-beta, z))
+        assert abs(pcf_D(-beta, z) - ref) <= 1e-10 * abs(ref)
 
     def test_budget_error(self):
         with pytest.raises(ConvergenceError):

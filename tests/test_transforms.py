@@ -85,6 +85,28 @@ class TestBasisPhi:
     def test_first(self):
         assert basis_phi(1, 1.0, 0.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
+    def test_negative_degree(self):
+        with pytest.raises(ValueError):
+            basis_phi(-1, 0.3, 0.5)
+
+    @pytest.mark.parametrize("beta", [0.7, 2.3])
+    @pytest.mark.parametrize("n", [170, 400])
+    def test_high_degree_against_mpmath(self, n, beta):
+        # 2^{-n/2} H_n(x, beta) / sqrt((beta+1)_n) in floating point gave 0.0 at
+        # n = 170 and nan at n = 400 (x = 1.3, beta = 0.7): (beta+1)_n overflows
+        x = np.array([1.3, -2.1, 4.0])
+        with mp.workdps(40):
+            b = mp.mpf(beta)
+            refs = []
+            for xv in x:
+                h_prev, h = mp.mpf(0), mp.mpf(1)
+                for k in range(n):
+                    h, h_prev = 2 * mp.mpf(xv) * h - 2 * (k + b) * h_prev, h
+                refs.append(float(mp.mpf(2) ** (-mp.mpf(n) / 2) * h / mp.sqrt(mp.rf(b + 1, n))))
+        vals = basis_phi(n, x, beta)
+        np.testing.assert_allclose(vals, refs, rtol=1e-12)
+        assert basis_phi(n, 1.3, beta) == vals[0]
+
     @pytest.mark.parametrize("beta", [0.0, 1.0, 1.7])
     def test_orthonormal(self, beta):
         rule = adaptive_line(lambda x: omega_weight(x, beta), 1e-9, 6)

@@ -11,13 +11,15 @@ which has eigenvalue m on H_{n,m}^(beta) whenever n >= m.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .measures import GammaMeasure, MomentMeasure, gen_factorial, ortho_poly_phi, x_gen, zeta
-from .specfun import laguerre, pochhammer
+from .specfun import SeriesControl, _laguerre_rows, laguerre, pochhammer
 
 __all__ = [
     "ModeIndex",
@@ -29,6 +31,8 @@ __all__ = [
     "ladder_apply",
     "landau_apply",
 ]
+
+_EPS_LD = float(np.finfo(np.longdouble).eps)
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,53 @@ def p_norm(idx: ModeIndex, z, measure: MomentMeasure | None = None):
     norm = math.sqrt(zeta(measure, 0, m + beta) * gen_factorial(measure, n, m))
     val = mono * phi / norm
     return val if val.ndim else val[()]
+
+
+def _p_rows(m: int, beta: float, w):
+    """Endless generator of sqrt(Gamma(beta+1)) P~_{n,m}(w), n = 0, 1, ..., at a
+    scalar or array w, in its precision (complex128 or clongdouble):
+
+        n <  m:  (-1)^n wbar^{m-n} L_n^(m-n+beta)(|w|^2) sqrt(n! / Gamma(beta+m+1))
+        n >= m:  (-1)^m sqrt(m!) w^{n-m} L_m^(n-m+beta)(|w|^2) / sqrt(Gamma(beta+n+1)),
+
+    with no negative power of |w|.  The degree recurrence of specfun.laguerre
+    starts every Laguerre factor; from row to row L_k^(alpha+1) = sum_{j<=k} L_j^(alpha).
+    """
+    w = np.asarray(w)
+    real = w.real.dtype.type
+    u = (w * np.conj(w)).real
+    alpha = real(beta) + np.arange(m, -1, -1, dtype=real).reshape((m + 1,) + (1,) * u.ndim)
+    table = list(itertools.islice(_laguerre_rows(alpha, u), m + 1))  # table[k][i] = L_k^(m-i+beta)(u)
+    poch_m = np.prod(real(beta) + np.arange(1, m + 1, dtype=real))  # (beta+1)_m
+    for n in range(m):
+        yield (-1) ** n * np.sqrt(real(math.factorial(n)) / poch_m) * np.conj(w) ** (m - n) * table[n][n]
+    lag = np.array([t[m] for t in table])  # L_k^(beta)(u), k = 0..m
+    mono = (-1) ** m * np.sqrt(real(math.factorial(m)) / poch_m) * np.ones_like(w)
+    for n in itertools.count(m):
+        yield mono * lag[m]
+        mono = mono * w * (1 / np.sqrt(real(beta) + n + 1))
+        for k in range(1, m + 1):  # in place: np.cumsum over axis 0 is ~10x slower
+            lag[k] += lag[k - 1]
+
+
+def _row_sum(terms, m: int, ctl: SeriesControl, what: str):
+    """Sum the long-double terms n = 0, 1, ... of a series over P~_{n,m} rows
+    until, past n = m, two successive terms are at most max(ctl.rel_tol
+    |partial sum|, eps_ld sum |term|) at every point; past ctl.max_terms it
+    raises ConvergenceError naming ``what``.  Returns the sum and its absolute
+    error estimate eps_ld sum |term| + the larger of the last two |term|
+    (rounding and truncation).
+    """
+    total = absum = mag = 0
+    small = 0
+    for n, term in zip(range(ctl.max_terms + 1), terms):
+        total = total + term
+        mag, prev_mag = np.abs(term), mag
+        absum = absum + mag
+        small = small + 1 if n > m and np.all(mag <= np.maximum(ctl.rel_tol * np.abs(total), _EPS_LD * absum)) else 0
+        if small == 2:
+            return total, _EPS_LD * absum + np.maximum(mag, prev_mag)
+    raise ConvergenceError(f"{what} not converged in {ctl.max_terms} terms")
 
 
 def ito_hermite(m: int, n: int, z) -> complex:

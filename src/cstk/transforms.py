@@ -4,8 +4,9 @@ and the quadrature application of the transform.
 
 Kernel conventions.  kernel_B(m, beta, z, x) is the fixed-m kernel in its
 generating form B_{beta,m}(z, x) = sqrt(Gamma(beta+1)) sum_n P~_{n,m}(zbar) phi_n(x),
-normalized so that kernel_B(0, beta, .) == kernel_B_analytic(beta, .) and
-kernel_B(m, 0, .) equals the true-polyanalytic closed form.  The transform
+normalized so that kernel_B(0, beta, .) is the analytic kernel
+(kernel_B_analytic) and kernel_B(m, 0, .) equals the true-polyanalytic
+closed form.  The transform
 itself evaluates
 
     B[f](z) = Gamma(beta+1)^{-1/2} int kernel_B(m, beta, conj(z), x) f(x) domega_beta(x),
@@ -13,7 +14,7 @@ itself evaluates
 the composition that sends the basis function phi_n to the orthonormal
 polynomial P~_{n,m}(z, zbar) with proportionality constant 1 (the kernel
 is a function of zbar, so the evaluation point enters conjugated).  Both sum
-the same closed-form rows P~_{n,m} (_p_rows); the paper's Hermite-Laguerre
+the same closed-form rows P~_{n,m} (poly2d._p_rows); the paper's Hermite-Laguerre
 plus Lauricella form of the kernel is kept as the oracle kernel_B_mp.
 """
 
@@ -30,16 +31,9 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ConvergenceError
 from .formats import parse_complex
+from .poly2d import _p_rows, _row_sum
 from .quadrature import QuadratureRule
-from .specfun import (
-    DEFAULT_CONTROL,
-    SeriesControl,
-    _laguerre_rows,
-    gamma_fn,
-    hermite,
-    lauricella_triple,
-    pcf_D,
-)
+from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, hermite, pcf_D
 
 __all__ = [
     "SampledFunction",
@@ -52,8 +46,6 @@ __all__ = [
     "kernel_B_true_poly",
     "apply_transform",
 ]
-
-_EPS_LD = float(np.finfo(np.longdouble).eps)
 
 
 @dataclass(frozen=True)
@@ -249,41 +241,12 @@ def kernel_B_true_poly(m: int, z: complex, x):
 
 
 def kernel_B_analytic(beta: float, z: complex, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
-    """Analytic (m = 0) Bargmann kernel as the specialized Lauricella series
-
-        B_beta(z, x) = F(sqrt2 x zbar, -zbar^2/2, -zbar^2; c=beta+1, beta),
-
-    an entire function of zbar equal to sum_n (zbar/sqrt2)^n H_n(x,beta)/(beta+1)_n.
+    """Analytic (m = 0) Bargmann kernel B_beta(z, x) = sum_n (zbar/sqrt2)^n H_n(x,beta)/(beta+1)_n,
+    an entire function of zbar: kernel_B(0, beta, z, x).  The paper writes it as
+    the specialized Lauricella series F(sqrt2 x zbar, -zbar^2/2, -zbar^2; c=beta+1, beta)
+    (specfun.lauricella_triple, the subject of the generating-function check).
     """
-    zc = complex(z).conjugate()
-    return lauricella_triple(beta + 1.0, beta, math.sqrt(2.0) * x * zc, -zc * zc / 2.0, -zc * zc, ctl)
-
-
-def _p_rows(m: int, beta: float, w):
-    """Endless generator of sqrt(Gamma(beta+1)) P~_{n,m}(w), n = 0, 1, ..., at a
-    scalar or array w, in its precision (complex128 or clongdouble):
-
-        n <  m:  (-1)^n wbar^{m-n} L_n^(m-n+beta)(|w|^2) sqrt(n! / Gamma(beta+m+1))
-        n >= m:  (-1)^m sqrt(m!) w^{n-m} L_m^(n-m+beta)(|w|^2) / sqrt(Gamma(beta+n+1)),
-
-    with no negative power of |w|.  The degree recurrence of specfun.laguerre
-    starts every Laguerre factor; from row to row L_k^(alpha+1) = sum_{j<=k} L_j^(alpha).
-    """
-    w = np.asarray(w)
-    real = w.real.dtype.type
-    u = (w * np.conj(w)).real
-    alpha = real(beta) + np.arange(m, -1, -1, dtype=real).reshape((m + 1,) + (1,) * u.ndim)
-    table = list(itertools.islice(_laguerre_rows(alpha, u), m + 1))  # table[k][i] = L_k^(m-i+beta)(u)
-    poch_m = np.prod(real(beta) + np.arange(1, m + 1, dtype=real))  # (beta+1)_m
-    for n in range(m):
-        yield (-1) ** n * np.sqrt(real(math.factorial(n)) / poch_m) * np.conj(w) ** (m - n) * table[n][n]
-    lag = np.array([t[m] for t in table])  # L_k^(beta)(u), k = 0..m
-    mono = (-1) ** m * np.sqrt(real(math.factorial(m)) / poch_m) * np.ones_like(w)
-    for n in itertools.count(m):
-        yield mono * lag[m]
-        mono = mono * w * (1 / np.sqrt(real(beta) + n + 1))
-        for k in range(1, m + 1):  # in place: np.cumsum over axis 0 is ~10x slower
-            lag[k] += lag[k - 1]
+    return kernel_B(0, beta, z, x, ctl)
 
 
 def _phi_rows(beta: float, x: np.ndarray):
@@ -306,32 +269,21 @@ def kernel_B(
     return_error_estimate: bool = False,
 ):
     """Fixed-m generalized Bargmann kernel B_{beta,m}(z, x) in its generating
-    form (module docstring), summed in long double until two successive terms
-    are below ctl.rel_tol of the partial sum (or its rounding error) at every
-    x; past ctl.max_terms it raises ConvergenceError.  ``x`` may be an ndarray.
+    form (module docstring), summed in long double by poly2d._row_sum: until two
+    successive terms are below ctl.rel_tol of the partial sum (or its rounding
+    error) at every x; past ctl.max_terms it raises ConvergenceError.  ``x`` may be an ndarray.
     return_error_estimate=True adds (eps sum|term| + last terms) / |value|
     per point: rounding, truncation and the final rounding to complex128.
     The terms exceed the value by about e^{(x/sqrt2 - Re z)^2}, so the
     estimate grows where x and Re z are large with opposite signs.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.longdouble))
-    terms = zip(_p_rows(m, beta, np.clongdouble(complex(z).conjugate())), _phi_rows(beta, x_arr))
-    total = np.zeros(len(x_arr), dtype=np.clongdouble)
-    absum = mag = np.zeros(len(x_arr), dtype=np.longdouble)
-    small = 0
-    for n, (row, phi) in zip(range(ctl.max_terms + 1), terms):
-        term = row * phi
-        total += term
-        mag, prev_mag = np.abs(term), mag
-        absum = absum + mag
-        small = small + 1 if n > m and np.all(mag <= np.maximum(ctl.rel_tol * np.abs(total), _EPS_LD * absum)) else 0
-        if small == 2:
-            break
-    else:
-        raise ConvergenceError(f"kernel_B series not converged in {ctl.max_terms} terms")
+    rows = _p_rows(m, beta, np.clongdouble(complex(z).conjugate()))
+    terms = (row * phi for row, phi in zip(rows, _phi_rows(beta, x_arr)))
+    total, est = _row_sum(terms, m, ctl, "kernel_B series")
     values = total.astype(complex)
     if return_error_estimate:
-        err = ((_EPS_LD * absum + np.maximum(mag, prev_mag)) / np.maximum(np.abs(total), 1e-300)).astype(float)
+        err = (est / np.maximum(np.abs(total), 1e-300)).astype(float)
         err += np.finfo(float).eps
         return (values, err) if np.ndim(x) else (complex(values[0]), float(err[0]))
     return values if np.ndim(x) else complex(values[0])

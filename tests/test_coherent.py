@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +17,25 @@ from cstk.coherent import (
     norm_closed_m0,
     norm_series,
     overlap_closed,
-    overlap_series,
 )
 from cstk.errors import ConvergenceError
 from cstk.specfun import SeriesControl, gamma_fn, hyp_pfq, mittag_leffler, pochhammer
+from cstk.verify import _closed_bracket
 
 disk = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+# mpmath sums of the coefficient series, written by scripts/coherent_reference.py
+REFERENCE = json.loads((Path(__file__).resolve().parent / "data" / "coherent_reference.json").read_text())
+
+
+def _closed_overlap(z, w, m, beta):
+    """The overlap from the paper's closed Laguerre + 2F2 bracket (the check-7 oracle)."""
+    cross, nz, nw = _closed_bracket([z, z, w], [w, z, w], m, beta)
+    return complex(cross / math.sqrt(nz.real * nw.real))
+
+
+def _overlap_cases(key):
+    return [(m, beta, complex(zr, zi), complex(wr, wi), complex(vr, vi))
+            for m, beta, zr, zi, wr, wi, vr, vi in REFERENCE[key]]
 
 
 class TestCoefficients:
@@ -86,7 +101,7 @@ class TestNormalization:
         beta = 0.6
         for z in [0.5 + 0.5j, 1.4 - 0.3j]:
             spec = CoherentSpec(z=z, idx_m=m, beta=beta)
-            ref = _bracket(z, z, m, beta)
+            ref = _closed_bracket(z, z, m, beta)
             assert norm_series(spec) == pytest.approx(ref, rel=1e-9)
 
     def test_budget_error(self):
@@ -112,28 +127,35 @@ class TestOverlap:
     def test_closed_vs_series(self, z, w, m):
         beta = 0.5
         a = overlap_closed(z, w, m, beta)
-        b = overlap_series(z, w, m, beta)
+        b = _closed_overlap(z, w, m, beta)
         assert abs(a - b) <= 1e-8 * max(abs(b), 1e-12)
 
     def test_hermitian(self):
         z, w, m, beta = 0.9 + 0.2j, -0.4 + 0.8j, 2, 1.1
         assert overlap_closed(z, w, m, beta) == pytest.approx(np.conjugate(overlap_closed(w, z, m, beta)), rel=1e-12)
 
-    @pytest.mark.xfail(
-        np.finfo(np.longdouble).eps >= 1e-16,
-        reason="the closed bracket needs a long double wider than float64 here",
-        strict=False,
-    )
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.7, 2.3])
     def test_closed_vs_series_m8_large_z(self, beta):
-        # the (k, l) sum of the closed form cancels to ~1e-9 of its terms here,
-        # so summing it in float64 misses 1e-8 against the series
-        rng = np.random.default_rng(8)
-        for _ in range(8):
-            z, w = rng.uniform(1.5, 3.0, 2) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 2))
-            a = overlap_closed(z, w, 8, beta)
-            b = overlap_series(z, w, 8, beta)
-            assert abs(a - b) <= 1e-8 * abs(b)
+        # |z|, |w| in [1.5, 3]: the paper's closed form cancels to ~1e-9 of its terms here
+        cases = [case for case in _overlap_cases("overlap_m8_large_z") if case[1] == beta]
+        assert len(cases) == 8
+        for m, _, z, w, ref in cases:
+            assert abs(overlap_closed(z, w, m, beta) - ref) <= 1e-12 * abs(ref)
+
+    def test_m8_wide_against_mpmath(self):
+        # |z|, |w| in [1.5, 6]: the closed form was 3.3e-8 off here
+        for m, beta, z, w, ref in _overlap_cases("overlap_m8_wide"):
+            assert abs(overlap_closed(z, w, m, beta) - ref) <= 1e-12
+
+    def test_distant_against_mpmath(self):
+        # w ~ -z: the overlap lies far below the norms; the closed form was 6.7e-11
+        # off (relative) at m = 0, beta = 0, |z| = 3, where float64 rows give 8.1e-10
+        for m, beta, z, w, ref in _overlap_cases("overlap_distant"):
+            err = abs(overlap_closed(z, w, m, beta) - ref)
+            if abs(ref) >= 1e-10:
+                assert err <= 1e-12 * abs(ref)
+            else:
+                assert err <= 1e-18
 
 
 class TestBracket:
@@ -202,13 +224,17 @@ class TestEtaDensity:
             vals = eta_density(radii, m, beta)
             assert vals.shape == radii.shape
             assert np.all(vals >= -1e-12)
-            # the scalar and the array route differ in how far past the tail
-            # test each 2F2 runs, which a tight test takes out, and in rounding,
-            # which the (k, l) cancellation (to 5e-8 at m = 4, r = 6) amplifies
+            # the scalar and the array route differ in how many rows the shared
+            # stopping test runs, which a tight test takes out
             tight = SeriesControl(rel_tol=1e-17)
             vals = eta_density(radii, m, beta, tight)
             for r, val in zip(radii, vals):
                 assert val == pytest.approx(eta_density(complex(r), m, beta, tight), rel=1e-11, abs=1e-300)
+
+    def test_m8_large_z_against_mpmath(self):
+        # |z| = 6: the closed form was 7.4e-7 off here
+        for m, beta, zr, zi, ref in REFERENCE["eta"]:
+            assert eta_density(complex(zr, zi), m, beta) == pytest.approx(ref, rel=1e-12)
 
     def test_scalar_input_gives_float(self):
         assert isinstance(eta_density(0.7 + 0.2j, 2, 0.5), float)

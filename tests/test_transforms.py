@@ -12,7 +12,7 @@ import pytest
 from cstk.measures import GammaMeasure
 from cstk.poly2d import ModeIndex, p_norm
 from cstk.quadrature import adaptive_line
-from cstk.specfun import assoc_hermite, gamma_fn, pochhammer
+from cstk.specfun import assoc_hermite, gamma_fn, lauricella_triple, pochhammer
 from cstk.transforms import (
     SampledFunction,
     apply_transform,
@@ -141,11 +141,19 @@ class TestKernels:
         assert kernel_B_true_poly(2, 0.0, 0.0) == pytest.approx(-2.0 / math.sqrt(8.0), rel=1e-14)
 
     def test_kernel_m0_is_analytic(self):
+        # the paper's Lauricella form F(sqrt2 x zbar, -zbar^2/2, -zbar^2; beta+1, beta)
         for beta in [0.0, 0.7, 2.3]:
             for z, x in [(0.9 + 0.3j, 0.6), (-0.8 + 0.5j, -1.2), (1.1 - 0.2j, 1.4)]:
+                zc = np.conjugate(z)
                 a = kernel_B(0, beta, z, x)
-                b = kernel_B_analytic(beta, z, x)
+                b = lauricella_triple(beta + 1.0, beta, math.sqrt(2.0) * x * zc, -zc * zc / 2.0, -zc * zc)
                 assert abs(a - b) <= 1e-12 * abs(b)
+
+    def test_analytic_at_large_z_and_x(self):
+        # the complex128 Lauricella series was 7.3e-4 and 3.2e-4 off here
+        for z, x in [(3.0 * cmath.exp(0.3j), -3.0), (-3.0 + 0.0j, 3.0)]:
+            ref = kernel_B_true_poly(0, z, x)
+            assert abs(kernel_B_analytic(0.0, z, x) - ref) <= 1e-8 * abs(ref)
 
     @pytest.mark.parametrize("m", range(9))
     def test_kernel_beta0_reduction(self, m):

@@ -153,7 +153,7 @@ def cmd_eval(args, cfg: CliConfig) -> int:
             "norm", {"m": args.m, "beta": args.beta, "z": format_complex(args.z)}, values
         )
     elif obj == "weight":
-        val = float(transforms.omega_weight(args.x, args.beta, ctl))
+        val = float(transforms.omega_weight(args.x, args.beta))
         payload = _value_payload("weight", {"beta": args.beta, "x": args.x}, [("omega_beta(x)", val)])
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(obj)

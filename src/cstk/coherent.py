@@ -103,7 +103,11 @@ def _bracket(z, w, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     far below sqrt(N_z N_w).  Returns a complex ndarray.
     """
     z, w = np.broadcast_arrays(np.asarray(z, dtype=np.clongdouble), np.asarray(w, dtype=np.clongdouble))
-    terms = (a * np.conj(b) for a, b in zip(_p_rows(m, beta, z), _p_rows(m, beta, w)))
+    return _bracket_sum((a * np.conj(b) for a, b in zip(_p_rows(m, beta, z), _p_rows(m, beta, w))), m, beta, ctl)
+
+
+def _bracket_sum(terms, m: int, beta: float, ctl: SeriesControl):
+    """The row sum of bracket terms row(z) conj(row(w)), divided by Gamma(beta+1)."""
     total, _ = _row_sum(terms, m, ctl, "coherent bracket")
     return (total / np.longdouble(gamma_fn(beta + 1.0))).astype(complex)
 
@@ -114,7 +118,8 @@ def overlap_closed(z: complex, w: complex, m: int, beta: float, ctl: SeriesContr
     The brackets (z, w), (z, z) and (w, w) are evaluated in one call.  The
     diagonal overlap is exactly 1 by construction of the normalization.
     """
-    cross, nz, nw = _bracket([z, z, w], [w, z, w], m, beta, ctl)
+    rows = _p_rows(m, beta, np.array([z, w], dtype=np.clongdouble))  # one generator for both states
+    cross, nz, nw = _bracket_sum((r[[0, 0, 1]] * np.conj(r[[1, 0, 1]]) for r in rows), m, beta, ctl)
     return complex(cross / math.sqrt(nz.real * nw.real))
 
 
@@ -134,5 +139,6 @@ def eta_density(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     """
     z = np.asarray(z, dtype=complex)
     t = (z * z.conj()).real
-    out = _bracket(z, z, m, beta, ctl).real * t**beta * np.exp(-t)
+    rows = _p_rows(m, beta, z.astype(np.clongdouble))  # one generator on the diagonal
+    out = _bracket_sum((r * np.conj(r) for r in rows), m, beta, ctl).real * t**beta * np.exp(-t)
     return out if out.ndim else float(out)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 
 from .errors import IllConditionedError, NumericError
@@ -62,6 +61,7 @@ class MomentMeasure:
 
     def moment_mp(self, s: float) -> mp.mpf:
         """Extended-precision moment; default promotes the float value."""
+        import mpmath as mp  # generic measures only: mpmath stays off the import path
         return mp.mpf(self.moment(s))
 
     def validate(self, nmax: int = 12) -> None:
@@ -93,6 +93,7 @@ class GammaMeasure(MomentMeasure):
         return gamma_fn(s + 1.0)
 
     def moment_mp(self, s: float) -> mp.mpf:
+        import mpmath as mp
         with mp.workdps(_GS_DPS):
             return mp.gamma(mp.mpf(s) + 1)
 
@@ -280,6 +281,7 @@ def _generic_basis(measure: MomentMeasure, alpha: float, nmax: int):
         raise IllConditionedError(
             f"generic measures are capped at degree {GENERIC_DEGREE_CAP} (requested {nmax})"
         )
+    import mpmath as mp
     with mp.workdps(_GS_DPS):
         mom = [measure.moment_mp(k + alpha) for k in range(2 * nmax + 2)]
 
@@ -326,6 +328,7 @@ def _check_conditioning(measure: MomentMeasure, mom, nmax: int) -> None:
     with E_k the antidiagonal indicator i+j = k.  The estimate times the
     measure's moment precision bounds the relative residual of the output.
     """
+    import mpmath as mp
 
     def antidiag_sums(size: int) -> list:
         h = mp.matrix(size, size)

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError
 from .specfun import gamma_fn
@@ -65,28 +64,26 @@ def gauss_laguerre(n: int, alpha: float) -> QuadratureRule:
     diag = 2.0 * np.arange(n) + alpha + 1.0
     k = np.arange(1, n)
     off = np.sqrt(k * (k + alpha))
-    try:
-        nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceError("Jacobi matrix eigen-decomposition failed") from exc
-    weights = _christoffel_weights(nodes, diag, off, gamma_fn(alpha + 1.0))
+    nodes, weights = _golub_welsch(diag, off, gamma_fn(alpha + 1.0))
     return QuadratureRule("half_line", nodes, weights, alpha=alpha)
 
 
-def _christoffel_weights(nodes: np.ndarray, diag: np.ndarray, off: np.ndarray, mass: float) -> np.ndarray:
-    """Gauss weights 1 / sum_k p_k(x_i)^2 from the orthonormal recurrence.
+def _golub_welsch(diag: np.ndarray, off: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes, the eigenvalues of the dense Jacobi matrix (n is small), and
+    weights 1 / sum_k p_k(x_i)^2 from the orthonormal recurrence.
 
     Strictly positive by construction, unlike squared eigenvector components
     which can underflow to exact zero at the extreme nodes of large rules.
     """
     n = len(diag)
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     p_prev = np.zeros_like(nodes)
     p = np.full_like(nodes, 1.0 / math.sqrt(mass))
     total = p * p
     for k in range(n - 1):
         p, p_prev = ((nodes - diag[k]) * p - (off[k - 1] if k >= 1 else 0.0) * p_prev) / off[k], p
         total += p * p
-    return 1.0 / total
+    return nodes, 1.0 / total
 
 
 def gauss_hermite(n: int) -> QuadratureRule:
@@ -95,8 +92,7 @@ def gauss_hermite(n: int) -> QuadratureRule:
         raise ValueError("need at least one node")
     diag = np.zeros(n)
     off = np.sqrt(np.arange(1, n) / 2.0)
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
-    weights = _christoffel_weights(nodes, diag, off, math.sqrt(math.pi))
+    nodes, weights = _golub_welsch(diag, off, math.sqrt(math.pi))
     # enforce the exact +/- symmetry the eigensolver only approximates
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])

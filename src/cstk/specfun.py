@@ -176,8 +176,8 @@ def pcf_D(nu: float, z, ctl: SeriesControl = DEFAULT_CONTROL):
     scalar or ndarray.
 
     At imaginary argument the O(1) terms cancel down to an e^{-|z|^2/4}-sized
-    sum, so accumulation runs in extended precision; the orthogonality weight
-    |D_{-beta}(ix sqrt2)|^{-2} needs usable relative accuracy out to |x| ~ 8.
+    sum, so accumulation runs in extended precision (transforms.omega_weight
+    sums a cancellation-free Kummer form of |D_{-beta}(ix sqrt2)|^2 instead).
     """
     z = np.asarray(z, dtype=complex)
     zq = np.asarray(z, dtype=np.clongdouble)

@@ -1,6 +1,6 @@
 """Real-line side of the construction: the orthogonality weight of the
-associated Hermite basis, the basis itself, the generalized Bargmann kernels
-and the quadrature application of the transform.
+associated Hermite basis (one Kummer form for every x), the basis itself, the
+generalized Bargmann kernels and the quadrature application of the transform.
 
 Kernel conventions.  kernel_B(m, beta, z, x) is the fixed-m kernel in its
 generating form B_{beta,m}(z, x) = sqrt(Gamma(beta+1)) sum_n P~_{n,m}(zbar) phi_n(x),
@@ -23,17 +23,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConvergenceError
 from .formats import parse_complex
 from .poly2d import _p_rows, _row_sum
 from .quadrature import QuadratureRule
-from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, hermite, pcf_D
+from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, hermite, rgamma
 
 __all__ = [
     "SampledFunction",
@@ -77,12 +75,11 @@ class SampledFunction:
         if self.kind == "coeffs":
             x = np.asarray(x, dtype=float)
             return sum((a * phi for a, phi in zip(self.coeffs, _phi_rows(self.beta, x))), np.zeros(len(x), complex))
-        spline_re = CubicSpline(self.x, np.real(self.values))
-        out = spline_re(x).astype(complex)
+        from scipy.interpolate import CubicSpline  # grid input only: scipy stays off the import path
+        out = CubicSpline(self.x, np.real(self.values))(x).astype(complex)
         if np.iscomplexobj(self.values):
-            out = out + 1j * CubicSpline(self.x, np.imag(self.values))(x)
-        inside = (x >= self.x[0]) & (x <= self.x[-1])
-        out[~inside] = 0.0
+            out += 1j * CubicSpline(self.x, np.imag(self.values))(x)
+        out[(x < self.x[0]) | (x > self.x[-1])] = 0.0  # zero outside the grid
         return out
 
 
@@ -126,98 +123,93 @@ def load_sampled(path) -> SampledFunction:
     raise ValueError("file did not declare its kind")
 
 
-_OMEGA_SERIES_MAX = 3.5  # the D series (extended precision) is trustworthy here
-_OMEGA_ASY_MIN = 7.0  # the |D|^2 asymptotic expansion is at full depth here
+_KUMMER_BLOCK = 32  # series terms per cumprod step
+_KUMMER_RESCALE = 256  # binary exponent above which the sums are divided by a power of two
 
 
-def _omega_tail(x: np.ndarray, beta: float) -> np.ndarray:
-    """Asymptotic form of the weight for large |x|.
-
-    |D_{-beta}(ix sqrt2)|^2 ~ e^{x^2} (2x^2)^{-beta} B(x)^2 with
-    B = sum_s (beta)_{2s} / (s! (4x^2)^s), summed to its smallest term.
-    """
-    x2 = x * x
-    b = np.ones_like(x)
-    term = np.ones_like(x)
-    s = 0
-    while True:
-        ratio = (beta + 2 * s) * (beta + 2 * s + 1) / ((s + 1) * 4.0 * x2)
-        new_term = term * ratio
-        if np.all(np.abs(new_term) >= np.abs(term)) or s > 60:
-            break
-        term = new_term
-        b += term
-        s += 1
-        if float(np.max(np.abs(term))) < 1e-17:
-            break
-    return (2.0 * x2) ** beta * np.exp(-x2) / (math.sqrt(math.pi) * gamma_fn(beta + 1.0) * b * b)
+def _require_beta(beta: float) -> None:
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError("beta must be non-negative")
 
 
-@lru_cache(maxsize=32)
-def _omega_mid_cheb(beta: float) -> np.ndarray:
-    """Chebyshev fit of ln(w) + x^2 - beta ln(2x^2) over the crossover band.
+def _kummer_pair(beta: float, y: np.ndarray):
+    """M((1-beta)/2, 1/2, y) and M(1-beta/2, 3/2, y) at the points y >= 0 of a 1-D
+    array, in its dtype: the (2, len(y)) sums divided by 2^e, and e.  One cumprod
+    of the ratios (a+k) y / ((b+k)(k+1)) per block of terms; past k = -a they lie
+    in [0, q), q = y/(k+1), so a point stops once |last term| q/(1-q) is at most
+    eps sum|term| in both series: the term count follows y."""
+    dtype = y.dtype
+    a = np.array([(1 - beta) / 2, 1 - beta / 2], dtype)[:, None, None]
+    b = np.array([0.5, 1.5], dtype)[:, None, None]
+    k = np.arange(_KUMMER_BLOCK, dtype=dtype)
+    out, expo, live, y_live = np.empty((2, len(y)), dtype), np.zeros(len(y), dtype=int), np.arange(len(y)), y
+    total = absum = last = np.ones((2, len(y)), dtype)
+    e = np.zeros_like(expo)
+    for k0 in itertools.count(0, _KUMMER_BLOCK):
+        if not live.size:
+            return out, expo
+        ratios = (a + k0 + k) / ((b + k0 + k) * (k0 + k + 1)) * y_live[:, None]
+        terms = np.cumprod(ratios, axis=-1) * last[..., None]
+        total, absum, last = total + terms.sum(axis=-1), absum + np.abs(terms).sum(axis=-1), terms[..., -1]
+        shift = np.frexp(np.max(np.abs(last), axis=0))[1]
+        shift = np.where(shift > _KUMMER_RESCALE, shift, 0)  # exact: a power of two, mostly 2^0
+        total, absum, last, e = np.ldexp(total, -shift), np.ldexp(absum, -shift), np.ldexp(last, -shift), e + shift
+        q = y_live / (k0 + _KUMMER_BLOCK + 1)
+        below_eps = np.abs(last) * q <= np.finfo(dtype).eps * absum * (1 - q)
+        tail_ok = (k0 + _KUMMER_BLOCK >= -a[:, 0]) & (q < 1) & below_eps
+        done = np.all((last == 0) | tail_ok, axis=0)
+        if done.any():
+            out[:, live[done]], expo[live[done]] = total[:, done], e[done]
+            live, y_live, e, total, absum, last = (v[..., ~done] for v in (live, y_live, e, total, absum, last))
 
-    Built once per beta from arbitrary-precision reference values of D; the
-    fitted function is smooth and O(1/x^2)-varying, so a modest degree holds
-    it to ~1e-13.
-    """
-    import mpmath as mp
 
-    deg = 48
-    k = np.arange(deg + 1)
-    nodes = np.cos(math.pi * (k + 0.5) / (deg + 1))  # Chebyshev points on [-1, 1]
-    xs = 0.5 * (_OMEGA_SERIES_MAX + _OMEGA_ASY_MIN) + 0.5 * (_OMEGA_ASY_MIN - _OMEGA_SERIES_MAX) * nodes
-    vals = []
-    with mp.workdps(50):
-        for xv in xs:
-            d2 = abs(mp.pcfd(-mp.mpf(beta), 1j * mp.sqrt(2) * mp.mpf(float(xv)))) ** 2
-            lnw = -mp.log(mp.sqrt(mp.pi) * mp.gamma(beta + 1) * d2)
-            vals.append(float(lnw + mp.mpf(float(xv)) ** 2 - beta * mp.log(2 * mp.mpf(float(xv)) ** 2)))
-    return np.polynomial.chebyshev.chebfit(nodes, np.array(vals), deg)
-
-
-def _omega_mid(x: np.ndarray, beta: float) -> np.ndarray:
-    coeffs = _omega_mid_cheb(float(beta))
-    scaled = (2.0 * x - (_OMEGA_SERIES_MAX + _OMEGA_ASY_MIN)) / (_OMEGA_ASY_MIN - _OMEGA_SERIES_MAX)
-    g = np.polynomial.chebyshev.chebval(scaled, coeffs)
-    return np.exp(g - x * x + beta * np.log(2.0 * x * x))
-
-
-def omega_weight(x, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
+def omega_weight(x, beta: float):
     """Orthogonality weight of the associated Hermite basis,
 
         w_beta(x) = (sqrt(pi) Gamma(beta+1))^{-1} |D_{-beta}(i x sqrt2)|^{-2},
 
     an even positive function of total mass 1; beta = 0 gives pi^{-1/2} e^{-x^2}.
-    At imaginary argument the D series loses ~e^{x^2}-worth of digits, so the
-    weight is pieced together: the series below |x| = 3.5, a per-beta Chebyshev
-    fit of the log-weight (anchored to arbitrary-precision references) on the
-    crossover band, and the asymptotic expansion of |D|^2 beyond |x| = 7.
-    ``x`` may be an ndarray.
+    D through 1F1 (DLMF 12.7.14) and Kummer's transformation (DLMF 13.2.39) give
+    w_beta = 2^beta e^{x^2} / (sqrt(pi) Gamma(beta+1) (A^2 + B^2)) with
+    A = sqrt(pi) M((1-beta)/2, 1/2, x^2) / Gamma((1+beta)/2) and
+    B = 2 sqrt(pi) x M(1-beta/2, 3/2, x^2) / Gamma(beta/2), series whose terms
+    have one sign after the first ceil(beta/2): one route for every x, summed in
+    long double to its precision (0.0, unsummed, where a bound puts the weight far
+    below the smallest double).  ``x`` may be an ndarray of finite values.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(np.abs(x))  # even function
+    _require_beta(beta)
+    x = np.abs(np.asarray(x, dtype=float))  # even function
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     if beta == 0.0:
-        out = np.exp(-x * x) / math.sqrt(math.pi)  # series terminates: exact
-        return float(out[0]) if scalar else out
-    out = np.empty_like(x)
-    near = x <= _OMEGA_SERIES_MAX
-    mid = (x > _OMEGA_SERIES_MAX) & (x <= _OMEGA_ASY_MIN)
-    far = x > _OMEGA_ASY_MIN
-    if np.any(near):
-        d = pcf_D(-beta, 1j * math.sqrt(2.0) * x[near], ctl)
-        out[near] = 1.0 / (math.sqrt(math.pi) * gamma_fn(beta + 1.0) * np.abs(d) ** 2)
-    if np.any(mid):
-        out[mid] = _omega_mid(x[mid], beta)
-    if np.any(far):
-        out[far] = _omega_tail(x[far], beta)
-    return float(out[0]) if scalar else out
+        out = np.exp(-x * x) / math.sqrt(math.pi)  # the series terminate: exact
+    else:
+        xs, where = np.unique(x.ravel(), return_inverse=True)  # a symmetric grid needs half the sums
+        out = _omega_kummer(xs.astype(np.longdouble), beta).astype(float)[where].reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _omega_kummer(x: np.ndarray, beta: float) -> np.ndarray:
+    """The Kummer form of omega_weight at the points x >= 0 of a 1-D array, in its dtype;
+    exactly 0, with no sum started, where x^2 >= beta and the leading term
+    (2x^2)^beta e^{-x^2} / (sqrt(pi) Gamma(beta+1)) of the large-x expansion
+    (the positive correction of |D|^2 only lowers the weight) is below 1e-340."""
+    x2 = np.minimum(x, 1e150) ** 2  # the bound falls past x^2 = beta, so clipping keeps it above
+    ln_bound = beta * np.log(2.0 * np.maximum(x2, beta)) - x2 - math.log(math.sqrt(math.pi)) - math.lgamma(beta + 1.0)
+    live = (x2 < beta) | (ln_bound >= -340.0 * math.log(10.0))  # weights below 1e-340 round to 0.0
+    out, x = np.zeros_like(x), x[live]
+    (m_a, m_b), e = _kummer_pair(beta, x * x)
+    a = math.sqrt(math.pi) * rgamma((1.0 + beta) / 2.0) * m_a
+    b = 2.0 * math.sqrt(math.pi) * rgamma(beta / 2.0) * x * m_b
+    scale = np.exp(x * x - 2 * e * np.log(x.dtype.type(2.0)))  # e^{x^2} / 2^{2e}
+    out[live] = 2.0**beta / (math.sqrt(math.pi) * gamma_fn(beta + 1.0)) * scale / (a * a + b * b)
+    return out
 
 
 def basis_phi(n: int, x, beta: float):
     """Orthonormal basis function phi_n(x) = 2^{-n/2} H_n(x, beta) / sqrt((beta+1)_n),
     by the normalized recurrence, which does not overflow at large n."""
+    _require_beta(beta)
     out = next(itertools.islice(_phi_rows(beta, np.asarray(x, dtype=float)), n, None))
     return out if out.ndim else out[()]
 
@@ -277,6 +269,7 @@ def kernel_B(
     The terms exceed the value by about e^{(x/sqrt2 - Re z)^2}, so the
     estimate grows where x and Re z are large with opposite signs.
     """
+    _require_beta(beta)
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.longdouble))
     rows = _p_rows(m, beta, np.clongdouble(complex(z).conjugate()))
     terms = (row * phi for row, phi in zip(rows, _phi_rows(beta, x_arr)))
@@ -363,6 +356,7 @@ def apply_transform(
     target two successive rows bound below ctl.rel_tol of their peak (the
     bound ||phi_n|| |P~_{n,m}(z)| of |d_n P~_{n,m}(z)| / ||f||, rule norm).
     """
+    _require_beta(beta)
     if abs(f.beta - beta) > 1e-12:
         raise ValueError("function beta and transform beta disagree")
     x = np.asarray(rule.nodes, dtype=float)

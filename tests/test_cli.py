@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import cstk
 from cstk import cli, transforms, verify
 from cstk.formats import format_complex, parse_complex
 
@@ -58,6 +64,18 @@ class TestEval:
         code, out = run(capsys, "eval", "weight", "--beta", "0", "--x", "0")
         assert code == 0
         assert get_value(out, "omega_beta(x)").real == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-13)
+
+    def test_weight_rejects_negative_beta(self, capsys):
+        # printed -0.0142365 with exit 0 before
+        code, out = run(capsys, "eval", "weight", "--beta", "-1.5", "--x", "1")
+        assert code == 2 and out == ""
+
+    def test_kernel_rejects_negative_beta(self, capsys):
+        # warned (sqrt of a negative number) and exited 3 before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "eval", "kernel", "--m", "2", "--beta", "-0.5", "--z", "0.3+0.1i", "--x", "0.2")
+        assert code == 2 and out == ""
 
     def test_numeric_failure_exit_code(self, capsys):
         code, _ = run(capsys, "--max-terms", "2", "eval", "norm", "--m", "0", "--beta", "0", "--z", "2+0i")
@@ -197,3 +215,16 @@ class TestConfig:
         cfg.write_text("n_r = 8\n")
         code, _ = run(capsys, "--config", str(cfg), "eval", "poly")
         assert code == 2
+
+
+def test_import_path_leaves_scipy_and_mpmath_unloaded():
+    # a fresh process, as every cstk command is one
+    probe = (
+        "import sys, cstk; from cstk import cli; "
+        "code = cli.main(['eval', 'weight', '--beta', '1.7', '--x', '5']); "
+        "bad = {'scipy', 'mpmath'} & set(sys.modules); assert code == 0 and not bad, (code, bad)"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cstk.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

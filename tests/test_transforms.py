@@ -11,7 +11,8 @@ import pytest
 
 from cstk.measures import GammaMeasure
 from cstk.poly2d import ModeIndex, p_norm
-from cstk.quadrature import adaptive_line
+from cstk.quadrature import QuadratureRule, adaptive_line
+from cstk import transforms as transforms_module
 from cstk.specfun import assoc_hermite, gamma_fn, lauricella_triple, pochhammer
 from cstk.transforms import (
     SampledFunction,
@@ -21,6 +22,7 @@ from cstk.transforms import (
     kernel_B_analytic,
     kernel_B_mp,
     kernel_B_true_poly,
+    _omega_kummer,
     load_sampled,
     omega_weight,
 )
@@ -70,12 +72,83 @@ class TestOmegaWeight:
 
     @pytest.mark.parametrize("beta", [0.5, 1.7, 2.3])
     def test_against_reference(self, beta):
-        # spans the series / fitted / asymptotic regimes
         for x in [0.5, 3.2, 4.5, 6.0, 8.0]:
             with mp.workdps(50):
                 d2 = abs(mp.pcfd(-beta, 1j * mp.sqrt(2) * x)) ** 2
                 ref = float(1.0 / (mp.sqrt(mp.pi) * mp.gamma(beta + 1) * d2))
             assert omega_weight(x, beta) == pytest.approx(ref, rel=3e-9)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.7, 2.3, 3.5])
+    def test_kummer_form_against_mpmath(self, beta):
+        # the weight pieced together from the D series, a per-beta Chebyshev fit
+        # and an asymptotic tail was up to 5.5e-12 off on this sweep
+        xs = np.concatenate([np.linspace(0.0, 12.0, 49), [3.5, 7.0, 20.0, 26.0, 27.0]])
+        vals = omega_weight(xs, beta)
+        with mp.workdps(50):
+            b = mp.mpf(beta)
+            for x, val in zip(xs, vals):
+                d2 = abs(mp.pcfd(-b, 1j * mp.sqrt(2) * mp.mpf(float(x)))) ** 2
+                ref = float(1 / (mp.sqrt(mp.pi) * mp.gamma(b + 1) * d2))
+                assert abs(val - ref) <= 1e-14 * ref, (x, val, ref)  # exactly 0 where ref underflows
+
+    def test_scalar_calls_match_array_call(self):
+        xs = np.array([-7.5, -3.2, 0.0, 1e-9, 0.8, 3.2, 3.5, 5.0, 7.0, 7.5, 12.0, 27.0])
+        for beta in (0.5, 1.0, 2.3, 3.5):
+            vals = omega_weight(xs, beta)
+            assert [omega_weight(float(x), beta) for x in xs] == list(vals)
+            assert omega_weight(xs.reshape(3, 4), beta).tolist() == vals.reshape(3, 4).tolist()
+        assert isinstance(omega_weight(1.0, 1.7), float)
+        for beta in (0.0, 1.7):
+            assert omega_weight(np.array([]), beta).shape == (0,)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.7, 3.5])
+    def test_far_tail_underflows_to_zero(self, beta, monkeypatch):
+        # the sums would need about x^2 terms; past the underflow bound they are never started
+        started, kummer_pair = [], transforms_module._kummer_pair
+
+        def recording(b, y):
+            started.extend(y.tolist())
+            return kummer_pair(b, y)
+
+        monkeypatch.setattr(transforms_module, "_kummer_pair", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert omega_weight(np.array([30.0, -40.0, 1e6, 1e20, 1e300]), beta).tolist() == [0.0] * 5
+            assert omega_weight(np.array([26.0, 30.0]), beta)[0] > 0.0
+            assert _omega_kummer(np.array([4000.0, 1e200]), beta).tolist() == [0.0, 0.0]  # float64 sums too
+        assert started == [26.0**2]
+
+    def test_double_working_precision(self):
+        # where np.longdouble is float64, e^{x^2} overflows past |x| ~ 26.6 and
+        # A^2 + B^2 past |x| ~ 18.8; the rescaled sums stay finite and accurate
+        xs = np.array([0.0, 0.5, 5.0, 12.0, 18.8, 20.0, 26.0, 26.7, 27.0, 30.0, 40.0, 100.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta in (0.5, 1.7, 3.5):
+                vals = _omega_kummer(xs, beta)
+                assert vals.dtype == np.float64
+                assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+                np.testing.assert_allclose(vals, omega_weight(xs, beta), rtol=1e-12, atol=1e-300)
+
+    def test_rejects_non_finite_x(self):
+        for x in (math.inf, math.nan, np.array([0.5, -math.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                omega_weight(x, 1.7)
+
+
+@pytest.mark.parametrize("beta", [-1.5, -0.5, math.nan, math.inf])
+def test_real_line_rejects_invalid_beta(beta):
+    # omega_weight returned -0.0142365 at beta = -1.5, x = 1; kernel_B took sqrt of a negative number
+    rule = QuadratureRule("truncated_line", np.array([0.0]), np.array([1.0]))
+    calls = [
+        lambda: omega_weight(1.0, beta),
+        lambda: basis_phi(2, 0.3, beta),
+        lambda: kernel_B(1, beta, 0.5 + 0.1j, 0.3),
+        lambda: apply_transform(SampledFunction(kind="coeffs", beta=beta, coeffs=np.ones(2)), 1, beta, [0.5], rule),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="beta must be non-negative"):
+            call()
 
 
 class TestBasisPhi:

@@ -68,7 +68,7 @@ def gnlcs_coeff(n: int, spec: CoherentSpec) -> complex:
 def norm_series(spec: CoherentSpec) -> float:
     """Squared norm N = sum_n |c_n|^2 of the unnormalized coefficient vector,
     the bracket on the diagonal."""
-    return float(_bracket(spec.z, spec.z, spec.idx_m, spec.beta, spec.truncation).real)
+    return float(_norm(spec.z, spec.idx_m, spec.beta, spec.truncation))
 
 
 def norm_closed_m0(beta: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -93,21 +93,20 @@ def norm_closed_m0(beta: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) 
     raise ConvergenceError(f"norm_closed_m0 not converged in {ctl.max_terms} terms")
 
 
-def _bracket(z, w, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
-    """sum_n P~_{n,m}(z) conj(P~_{n,m}(w)) = sum_n c_n(w) conj(c_n(z)), the row
-    sum of poly2d._p_rows in long double.
+def _norm(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
+    """The squared norm N_{beta,m}(z zbar) = sum_n |c_n(z)|^2, the bracket on
+    the diagonal: one poly2d._p_rows generator summed in long double.
 
-    ``z`` and ``w`` broadcast against each other; on the diagonal w = z the
-    value is the squared norm N_{beta,m}(z zbar).  The stopping test compares
-    the cross terms with their own partial sum, which for distant states lies
-    far below sqrt(N_z N_w).  Returns a complex ndarray.
+    ``z`` may be a scalar or an array; returns real values of its shape.
     """
-    z, w = np.broadcast_arrays(np.asarray(z, dtype=np.clongdouble), np.asarray(w, dtype=np.clongdouble))
-    return _bracket_sum((a * np.conj(b) for a, b in zip(_p_rows(m, beta, z), _p_rows(m, beta, w))), m, beta, ctl)
+    rows = _p_rows(m, beta, np.asarray(z, dtype=np.clongdouble))
+    return _bracket_sum((r * np.conj(r) for r in rows), m, beta, ctl).real
 
 
 def _bracket_sum(terms, m: int, beta: float, ctl: SeriesControl):
-    """The row sum of bracket terms row(z) conj(row(w)), divided by Gamma(beta+1)."""
+    """The row sum of bracket terms row(z) conj(row(w)) = c_n(w) conj(c_n(z)),
+    divided by Gamma(beta+1).  The stopping test compares the terms with their
+    own partial sum, which for distant states lies far below sqrt(N_z N_w)."""
     total, _ = _row_sum(terms, m, ctl, "coherent bracket")
     return (total / np.longdouble(gamma_fn(beta + 1.0))).astype(complex)
 
@@ -139,6 +138,5 @@ def eta_density(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     """
     z = np.asarray(z, dtype=complex)
     t = (z * z.conj()).real
-    rows = _p_rows(m, beta, z.astype(np.clongdouble))  # one generator on the diagonal
-    out = _bracket_sum((r * np.conj(r) for r in rows), m, beta, ctl).real * t**beta * np.exp(-t)
+    out = _norm(z, m, beta, ctl) * t**beta * np.exp(-t)
     return out if out.ndim else float(out)

@@ -6,8 +6,8 @@ zeta_n, convergence radii, diagonal Hamiltonian eigenvalues) is derived from
 ratios of those moments, so an un-normalized dmu is harmless.
 
 The builtin GammaMeasure (dmu = e^{-r} dr) has closed forms throughout; any
-other measure goes through a monic Gram-Schmidt construction on the moment
-Hankel matrix, done in extended precision and capped at polynomial degree 12.
+other measure goes through one Cholesky factor of the moment Hankel matrix,
+taken in extended precision and capped at polynomial degree 12.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 GENERIC_DEGREE_CAP = 12
-_GS_DPS = 50
+_MP_DPS = 50
 
 
 class MomentMeasure:
@@ -94,7 +94,7 @@ class GammaMeasure(MomentMeasure):
 
     def moment_mp(self, s: float) -> mp.mpf:
         import mpmath as mp
-        with mp.workdps(_GS_DPS):
+        with mp.workdps(_MP_DPS):
             return mp.gamma(mp.mpf(s) + 1)
 
 
@@ -188,8 +188,8 @@ def x_seq(measure: MomentMeasure, n: int) -> float:
 def zeta(measure: MomentMeasure, n: int, alpha: float) -> float:
     """Orthogonality norm zeta_n(alpha) of the degree-n polynomial under dmu_alpha.
 
-    Builtin closed form Gamma(alpha+n+1)/n!; generic measures go through the
-    Gram-Schmidt construction.
+    Builtin closed form Gamma(alpha+n+1)/n!; generic measures go through one
+    Cholesky factor of the moment Hankel matrix.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -238,9 +238,10 @@ def ortho_poly_coeffs(measure: MomentMeasure, n: int, alpha: float) -> np.ndarra
     The builtin measure has the closed form
         c_j = (-1)^j (alpha+1)_n / ((n-j)! j! (alpha+1)_{n-j}),
     the expansion of phi_n = (-1)^n L_n^(alpha) (leading coefficient +1/n!);
-    generic measures use monic Gram-Schmidt scaled by 1/n! to match.  Only
-    coefficient ratios enter the radius probe, so the overall sign convention
-    is inert there.
+    generic measures take the monic polynomial from one Cholesky factor of
+    the moment Hankel matrix, scaled by 1/n! to match.  Only coefficient
+    ratios enter the radius probe, so the overall sign convention is inert
+    there.
     """
     if measure.is_builtin:
         pa = pochhammer(alpha + 1.0, n)
@@ -271,8 +272,11 @@ def ortho_poly_phi(measure: MomentMeasure, n: int, alpha: float, r):
 
 @lru_cache(maxsize=256)
 def _generic_basis(measure: MomentMeasure, alpha: float, nmax: int):
-    """Monic-over-n! Gram-Schmidt basis of dmu_alpha up to degree nmax.
+    """Monic-over-n! orthogonal basis of dmu_alpha up to degree nmax, from one
+    Cholesky factor H = L L^T of the moment Hankel matrix H_ij = mu_{i+j+alpha}.
 
+    Row n of L^{-1} holds the orthonormal polynomial q_n in ascending powers, so
+    the monic p_n is that row over its last entry and zeta_n = (L_nn / n!)^2.
     Returns (coeff arrays ascending in power, zeta values).  Runs in extended
     precision; the degree cap and a conditioning estimate guard against the
     exponential ill-conditioning of moment Hankel systems.
@@ -282,79 +286,42 @@ def _generic_basis(measure: MomentMeasure, alpha: float, nmax: int):
             f"generic measures are capped at degree {GENERIC_DEGREE_CAP} (requested {nmax})"
         )
     import mpmath as mp
-    with mp.workdps(_GS_DPS):
-        mom = [measure.moment_mp(k + alpha) for k in range(2 * nmax + 2)]
-
-        def inner(p, q):
-            # <r^a, r^b> = mu_{a+b+alpha}
-            acc = mp.mpf(0)
-            for a, pa in enumerate(p):
-                if pa:
-                    for b, qb in enumerate(q):
-                        if qb:
-                            acc += pa * qb * mom[a + b]
-            return acc
-
-        if nmax >= 1:
-            _check_conditioning(measure, mom, nmax)
-
-        basis: list[list[mp.mpf]] = []
-        norms: list[mp.mpf] = []
-        for n in range(nmax + 1):
-            p = [mp.mpf(0)] * n + [mp.mpf(1)]  # monic r^n
-            for _ in range(2):  # one re-orthogonalization pass
-                for k in range(n):
-                    proj = inner(p, basis[k]) / norms[k]
-                    for a in range(len(basis[k])):
-                        p[a] -= proj * basis[k][a]
-            basis.append(p)
-            norms.append(inner(p, p))
-            if norms[-1] <= 0:
-                raise IllConditionedError(f"lost positivity at degree {n} (alpha={alpha})")
+    with mp.workdps(_MP_DPS):
+        mom = [measure.moment_mp(k + alpha) for k in range(2 * nmax + 1)]
+        h = mp.matrix([[mom[i + j] for j in range(nmax + 1)] for i in range(nmax + 1)])
+        try:
+            # tol=0: positivity is scale-free here; the gate below judges conditioning
+            chol = mp.cholesky(h, tol=0)
+            q = mp.inverse(chol)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise IllConditionedError(f"moment Hankel matrix is not positive definite (alpha={alpha})") from exc
+        _check_conditioning(measure, mom, q, nmax)
         coeffs = []
         zetas = []
-        for n, (p, nn) in enumerate(zip(basis, norms)):
-            scale = mp.mpf(1) / mp.factorial(n)
-            coeffs.append(np.array([float(c * scale) for c in p]))
-            zetas.append(float(nn * scale * scale))
+        for n in range(nmax + 1):
+            scale = 1 / (q[n, n] * mp.factorial(n))
+            coeffs.append(np.array([float(q[n, j] * scale) for j in range(n + 1)]))
+            zetas.append(float((chol[n, n] / mp.factorial(n)) ** 2))
     return coeffs, zetas
 
 
-def _check_conditioning(measure: MomentMeasure, mom, nmax: int) -> None:
+def _check_conditioning(measure: MomentMeasure, mom, q, nmax: int) -> None:
     """First-order sensitivity of the zeta ratios to relative moment noise.
 
     zeta_n is a ratio of consecutive Hankel determinants, so
     d(log zeta_n) = sum_k mu_k [tr(H_{n+1}^{-1} E_k) - tr(H_n^{-1} E_k)] d(log mu_k)
-    with E_k the antidiagonal indicator i+j = k.  The estimate times the
-    measure's moment precision bounds the relative residual of the output.
+    with E_k the antidiagonal indicator i+j = k.  H_{n+1}^{-1} - H_n^{-1} =
+    q_n q_n^T for the orthonormal row q_n of L^{-1}, so the bracket is the
+    coefficient of r^k in q_n(r)^2.  The estimate times the measure's moment
+    precision bounds the relative residual of the output.
     """
-    import mpmath as mp
-
-    def antidiag_sums(size: int) -> list:
-        h = mp.matrix(size, size)
-        for i in range(size):
-            for j in range(size):
-                h[i, j] = mom[i + j]
-        try:
-            hinv = h**-1
-        except ZeroDivisionError as exc:
-            raise IllConditionedError("singular moment Hankel matrix") from exc
-        sums = [mp.mpf(0)] * (2 * size - 1)
-        for i in range(size):
-            for j in range(size):
-                sums[i + j] += hinv[i, j]
-        return sums
-
-    per_size = [antidiag_sums(s) for s in range(1, nmax + 2)]
-    worst = mp.mpf(0)
-    for n in range(nmax):
-        a_lo = per_size[n]
-        a_hi = per_size[n + 1]
-        sens = mp.mpf(0)
-        for k in range(len(a_hi)):
-            lo = a_lo[k] if k < len(a_lo) else mp.mpf(0)
-            sens += abs(mom[k] * (a_hi[k] - lo))
-        worst = max(worst, sens)
+    worst = 0
+    for n in range(1, nmax + 1):
+        square = [0] * (2 * n + 1)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                square[i + j] += q[n, i] * q[n, j]
+        worst = max(worst, sum(abs(mu * c) for mu, c in zip(mom, square)))
     residual = float(worst) * measure.moment_precision
     if residual > 1e-6:
         raise IllConditionedError(

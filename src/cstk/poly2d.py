@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .measures import GammaMeasure, MomentMeasure, gen_factorial, ortho_poly_phi, x_gen, zeta
-from .specfun import SeriesControl, _laguerre_rows, laguerre, pochhammer
+from .specfun import SeriesControl, _laguerre_rows, laguerre
 
 __all__ = [
     "ModeIndex",
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _EPS_LD = float(np.finfo(np.longdouble).eps)
+_LD_DIGITS = np.finfo(np.longdouble).nmant + 1
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ class PolyExpansion:
     """Finite monomial expansion sum c_{ab} z^a zbar^b of a 2D polynomial.
 
     Every exponent pair satisfies a - b = n - m for the generating mode, and
-    the coefficients of H_{n,m}^(beta) are real.  Instances are immutable
-    after construction.
+    the coefficients of H_{n,m}^(beta) are real (long double from
+    h_poly_expand).  Instances are immutable after construction.
     """
 
     n: int
@@ -67,15 +69,17 @@ class PolyExpansion:
     def coeffs(self) -> dict:
         return dict(self.terms)
 
-    def evaluate(self, z) -> complex:
+    def evaluate(self, z):
+        """Value at ``z``: a complex for a scalar, a complex ndarray for an array."""
         # extended-precision accumulation: the monomials overshoot the value
         # by the Laguerre cancellation factor at the larger |z|
-        z = np.clongdouble(complex(z))
+        z = np.asarray(z, dtype=np.clongdouble)
         zc = np.conjugate(z)
-        total = np.clongdouble(0.0)
+        total = np.zeros_like(z)
         for (a, b), c in self.terms:
             total += c * z**a * zc**b
-        return complex(total)
+        total = total.astype(complex)
+        return total if total.ndim else complex(total)
 
 
 def h_poly(idx: ModeIndex, z):
@@ -90,9 +94,11 @@ def h_poly(idx: ModeIndex, z):
     z = np.asarray(z, dtype=complex)
     s = min(n, m)
     mono = z ** (n - s) * np.conjugate(z) ** (m - s)
-    # long double: the float64 Laguerre recurrence is off by up to 1.4e-13 of max(1, |L|)
-    u = np.asarray((z * np.conjugate(z)).real, dtype=np.longdouble)
-    val = (-1.0) ** s * mono * laguerre(s, abs(n - m) + beta, u).astype(float)
+    # long double: the float64 Laguerre recurrence is off by up to 1.4e-13 of
+    # max(1, |L|); u = |z|^2 and alpha = |n-m| + beta are formed in it too
+    x, y = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
+    alpha = np.longdouble(abs(n - m)) + np.longdouble(beta)
+    val = (-1.0) ** s * mono * laguerre(s, alpha, x * x + y * y).astype(float)
     return val if val.ndim else val[()]
 
 
@@ -102,18 +108,34 @@ def h_poly_expand(idx: ModeIndex) -> PolyExpansion:
     For n >= m the coefficient of z^{n-k} zbar^{m-k} is
         (-1)^k binom(m, k) (beta+1+n-k)_k / m!,   k = 0..m,
     and n < m follows by the conjugation symmetry (swap exponent roles).
+    A float beta is an exact rational, so each coefficient is formed exactly
+    and rounded once, to long double.
     """
     n, m, beta = idx.n, idx.m, idx.beta
     big, small = max(n, m), min(n, m)
+    shifted = Fraction(beta) + 1 + big
     terms = []
-    fact = math.factorial(small)
     for k in range(small + 1):
-        coeff = (-1.0) ** k * math.comb(small, k) * pochhammer(beta + 1.0 + big - k, k) / fact
+        poch = math.prod((shifted - k + i for i in range(k)), start=Fraction(1))
+        coeff = (-1) ** k * math.comb(small, k) * poch / math.factorial(small)
         a, b = big - k, small - k
         if n < m:
             a, b = b, a
-        terms.append(((a, b), coeff))
+        terms.append(((a, b), _round_ld(coeff)))
     return PolyExpansion(n=n, m=m, beta=beta, terms=tuple(terms))
+
+
+def _round_ld(q: Fraction) -> np.longdouble:
+    """The rational q rounded once (to nearest, ties to even) to long double."""
+    if not q:
+        return np.longdouble(0)
+    # |q| 2^shift lies in (2^(d-1), 2^(d+1)) for d mantissa digits; at d+1 digits shift one less
+    shift = _LD_DIGITS - q.numerator.bit_length() + q.denominator.bit_length()
+    mant = round(q * Fraction(2) ** shift)
+    if abs(mant) >= 2**_LD_DIGITS:
+        shift -= 1
+        mant = round(q * Fraction(2) ** shift)
+    return np.ldexp(np.longdouble(mant), -shift)
 
 
 def p_norm(idx: ModeIndex, z, measure: MomentMeasure | None = None):
@@ -227,13 +249,14 @@ def ladder_apply(which: str, idx: ModeIndex, measure: MomentMeasure | None = Non
     raise ValueError(f"unknown ladder operator {which!r}")
 
 
-def landau_apply(beta: float, expansion: PolyExpansion, z) -> complex:
+def landau_apply(beta: float, expansion: PolyExpansion, z):
     """Exact action of the generalized Landau operator on a monomial expansion.
 
     On a monomial z^a zbar^b the operator gives
         b z^a zbar^b - b (a + beta) z^{a-1} zbar^{b-1},
-    so the value is assembled term-wise with no numerical differencing and
-    summed by PolyExpansion.evaluate (the terms keep a - b).
+    so the value is assembled term-wise in long double with no numerical
+    differencing and summed by PolyExpansion.evaluate (the terms keep a - b);
+    ``z`` may be a scalar or an array, as there.
     Requires z != 0 when a 1/z term survives (a = 0, b >= 1, beta != 0).
     """
     terms = []
@@ -241,9 +264,9 @@ def landau_apply(beta: float, expansion: PolyExpansion, z) -> complex:
         if b == 0:
             continue
         terms.append(((a, b), c * b))
-        factor = b * (a + beta)
+        factor = b * (a + np.longdouble(beta))
         if factor != 0.0:
-            if a == 0 and z == 0:
+            if a == 0 and np.any(np.asarray(z) == 0):
                 raise ZeroDivisionError("landau_apply at z=0 with a surviving 1/z term")
             terms.append(((a - 1, b - 1), -c * factor))
     return replace(expansion, terms=tuple(terms)).evaluate(z)

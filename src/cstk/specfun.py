@@ -8,9 +8,11 @@ the specialized three-variable Lauricella series
     F(u, v, w; c, b) = sum_{n,k,j} (1)_{n+2k+j} (b)_j / (c)_{n+2k+2j}
                        * u^n/n! * v^k/k! * w^j/j!.
 
-All infinite sums use compensated (Kahan) accumulation and a SeriesControl
-budget; hitting ``max_terms`` raises ConvergenceError rather than silently
-truncating.
+Every infinite sum runs under a SeriesControl budget; hitting ``max_terms``
+raises ConvergenceError rather than silently truncating.  mittag_leffler and
+lauricella_triple accumulate with compensated (Kahan) summation; hyp_pfq and
+pcf_D carry their terms and sums in long double, as do the P~-row sums of
+poly2d and the Kummer series of transforms.omega_weight.
 """
 
 from __future__ import annotations
@@ -210,7 +212,7 @@ def pcf_D(nu: float, z, ctl: SeriesControl = DEFAULT_CONTROL):
 def hyp_pfq(numer, denom, t, ctl: SeriesControl = DEFAULT_CONTROL):
     """Generalized hypergeometric pFq for p, q <= 2 (covers 1F1 and 2F2).
 
-    Compensated summation of sum_k prod(a_i)_k / prod(b_i)_k * t^k / k!.
+    Long-double summation of sum_k prod(a_i)_k / prod(b_i)_k * t^k / k!.
     ``t`` and each parameter may be a scalar or an ndarray; they broadcast
     against each other, so one call sums a whole grid of parameter sets as a
     single series that runs until every element meets the tail test a scalar
@@ -219,14 +221,15 @@ def hyp_pfq(numer, denom, t, ctl: SeriesControl = DEFAULT_CONTROL):
     No denominator entry may be a non-positive integer.  The result is
     complex, or complex long double when ``t`` is long double.
     """
-    numer = [np.asarray(a) for a in numer]
-    denom = [np.asarray(b) for b in denom]
     if len(numer) > 2 or len(denom) > 2:
         raise ValueError("hyp_pfq supports at most 2 numerator and 2 denominator parameters")
-    for b in denom:
+    for b in map(np.asarray, denom):
         poles = (b <= 0.0) & (b == np.floor(b))
         if np.any(poles):
             raise PoleError(f"hyp_pfq denominator parameter {b[poles].flat[0]} is a non-positive integer")
+    # each parameter is cast once: a float64 (a + k) or 1/(k + 1) would round every term ratio
+    numer = [np.asarray(a, dtype=np.clongdouble if np.iscomplexobj(a) else np.longdouble) for a in numer]
+    denom = [np.asarray(b, dtype=np.clongdouble if np.iscomplexobj(b) else np.longdouble) for b in denom]
     # extended-precision accumulation: alternating arguments (Kummer-type
     # identities at t ~ -10) cancel through partial sums ~e^{|t|} above the
     # limit, which 64-bit terms cannot certify at 1e-11
@@ -244,11 +247,11 @@ def hyp_pfq(numer, denom, t, ctl: SeriesControl = DEFAULT_CONTROL):
         if k >= 2 and np.all((term_mag <= bound) & (prev_mag <= bound)):
             break
         prev_mag = term_mag
-        ratio = np.clongdouble(1.0 / (k + 1.0))
+        ratio = 1 / np.longdouble(k + 1)
         for a in numer:
-            ratio = ratio * (a + k).astype(np.clongdouble)
+            ratio = ratio * (a + k)
         for b in denom:
-            ratio = ratio / (b + k).astype(np.clongdouble)
+            ratio = ratio / (b + k)
         term = term * ratio * tq
     else:
         raise ConvergenceError(f"hyp_pfq not converged in {ctl.max_terms} terms")

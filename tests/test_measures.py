@@ -122,6 +122,23 @@ class TestZetaAndPolynomials:
         with pytest.raises(IllConditionedError):
             zeta(noisy, 12, 0.0)
 
+    def test_degree_two_reads_only_five_moments(self):
+        # zeta_2 needs mu_0 .. mu_4 and nothing beyond
+        meas = TabulatedMeasure(table=tuple((float(s), gamma_fn(s + 1.0)) for s in range(5)))
+        assert zeta(meas, 2, 0.0) == pytest.approx(zeta(GammaMeasure(0.0), 2, 0.0), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "meas",
+        [
+            CallableMeasure(moment_fn=lambda s: 1.0),  # singular
+            TabulatedMeasure(table=tuple((float(s), mu) for s, mu in enumerate((1.0, 2.0, 1.0, 5.0, 30.0)))),
+        ],
+        ids=["constant", "indefinite"],
+    )
+    def test_hankel_matrix_not_positive_definite(self, meas):
+        with pytest.raises(IllConditionedError):
+            zeta(meas, 2, 0.0)
+
     def test_coeffs_layout(self):
         # descending powers, leading coefficient 1/n! as for (-1)^n L_n
         c = ortho_poly_coeffs(GammaMeasure(0.0), 3, 0.5)

@@ -1,7 +1,9 @@
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,7 +67,7 @@ class TestExpansion:
         for (a, b), c in exp.terms:
             assert a - b == 5 - 3
             assert a <= 5 and b <= 3
-            assert isinstance(c, float)
+            assert isinstance(c, np.longdouble)
 
     @given(modes, points)
     @settings(max_examples=60, deadline=None)
@@ -75,6 +77,42 @@ class TestExpansion:
         a = h_poly_expand(idx).evaluate(z)
         b = h_poly(idx, z)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    @pytest.mark.parametrize(
+        "n,m,beta,z",
+        [
+            (8, 5, 1.0589, 2.7625 - 0.2045j),  # the worst point of the closed-form comparison
+            (8, 8, 1.5026102296070878, 1.875 + 1.5j),  # drawn by --hypothesis-seed=7
+        ],
+    )
+    def test_recorded_points_against_mpmath(self, n, m, beta, z):
+        with mp.workdps(40):
+            zz = mp.mpc(z)
+            s = min(n, m)
+            lag = mp.laguerre(s, abs(n - m) + mp.mpf(beta), abs(zz) ** 2)
+            ref = complex((-1) ** s * zz ** (n - s) * mp.conj(zz) ** (m - s) * lag)
+        idx = ModeIndex(n, m, beta)
+        for val in (h_poly_expand(idx).evaluate(z), h_poly(idx, z)):
+            assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    def test_exact_coefficients(self):
+        # (3,2) at beta = 0.1: the coefficient of z is (beta+2)_2 / 2 for the
+        # double 0.1 = 3602879701896397 / 2^55, formed exactly and rounded
+        # once (the denominator is a power of two, so only the numerator rounds)
+        coeffs = h_poly_expand(ModeIndex(3, 2, 0.1)).coeffs()
+        b = Fraction(0.1)
+        exact = (b + 2) * (b + 3) / 2
+        assert exact.denominator == 2 ** (exact.denominator.bit_length() - 1)
+        assert coeffs[(1, 0)] == np.longdouble(exact.numerator) / np.longdouble(exact.denominator)
+
+    def test_array_matches_scalar_calls(self):
+        zs = np.array([[0.3 + 0.2j, -1.9 + 2.4j], [2.5j, 1.1 - 0.3j]])
+        exp = h_poly_expand(ModeIndex(6, 4, 0.7))
+        vals, lvals = exp.evaluate(zs), landau_apply(0.7, exp, zs)
+        assert vals.shape == lvals.shape == zs.shape
+        for i, j in itertools.product(range(2), repeat=2):
+            assert vals[i, j] == exp.evaluate(complex(zs[i, j]))
+            assert lvals[i, j] == landau_apply(0.7, exp, complex(zs[i, j]))
 
 
 class TestPNorm:

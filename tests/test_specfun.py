@@ -257,15 +257,21 @@ class TestHypPFQ:
         assert hyp_pfq([1.0], [1.0], t).dtype == np.clongdouble
         assert hyp_pfq([1.0], [1.0], t.astype(float)).dtype == np.complex128
 
+    SCALAR_CASES = [((0.5,), (1.5,), -3.25), ((2.3,), (3.3,), -10.0), ((1.0,), (2.0,), -7.5)]
+
     def test_scalar_callers_unchanged(self):
         # pinned values: array parameters must leave the scalar route bit-for-bit
-        cases = [
-            ((0.5,), (1.5,), -3.25, 0.4862872445787076),
-            ((2.3,), (3.3,), -10.0, 0.013437207878535135),
-            ((1.0,), (2.0,), -7.5, 0.13325958875064706),
-        ]
-        for numer, denom, t, ref in cases:
+        pinned = [0.4862872445787076, 0.013437207878553398, 0.13325958875064686]
+        for (numer, denom, t), ref in zip(self.SCALAR_CASES, pinned):
             assert hyp_pfq(numer, denom, t) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+    def test_scalar_callers_against_mpmath(self):
+        # at t = -10 the partial sums pass e^10 times the value: a term ratio
+        # rounded to float64 costs 1e-12 there
+        for numer, denom, t in self.SCALAR_CASES:
+            with mp.workdps(30):
+                ref = float(mp.hyper(numer, denom, t))
+            assert abs(hyp_pfq(numer, denom, t) - ref) <= 1e-14 * abs(ref)
 
 
 class TestMittagLeffler:

@@ -190,9 +190,11 @@ def cmd_transform(args, cfg: CliConfig) -> int:
         line = raw.strip()
         if line and not line.startswith("#"):
             targets.append(parse_complex(line))
-    rule = quadrature.adaptive_line(
-        lambda x: transforms.omega_weight(x, args.beta), max(cfg.rel_tol, 1e-11), args.m + 8
-    )
+    rule = None  # a coefficient input maps exactly, with no rule
+    if f.kind == "grid":
+        rule = quadrature.adaptive_line(
+            lambda x: transforms.omega_weight(x, args.beta), max(cfg.rel_tol, 1e-11), args.m + 8
+        )
     values = transforms.apply_transform(f, args.m, args.beta, targets, rule, cfg.series())
     payload = {
         "object": "transform",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .measures import GammaMeasure, MomentMeasure, gen_factorial, ortho_poly_phi, x_gen, zeta
-from .specfun import SeriesControl, _laguerre_rows, laguerre
+from .specfun import SeriesControl, _laguerre_rows, gamma_fn, laguerre
 
 __all__ = [
     "ModeIndex",
@@ -142,7 +142,8 @@ def p_norm(idx: ModeIndex, z, measure: MomentMeasure | None = None):
     """Orthonormal polynomial P~_{n,m}^beta(z, zbar) for the given measure.
 
     P~ = z-monomial * phi_{n^m}(z zbar; |n-m|+beta) / sqrt(zeta_0(m+beta) x_{n,m}!);
-    the builtin measure reduces to h_poly / sqrt(Gamma(beta+m+1) x_{n,m}!).
+    the builtin measure reduces to h_poly / sqrt(Gamma(beta+m+1) x_{n,m}!)
+    = h_poly sqrt(min(n,m)! / Gamma(beta+max(n,m)+1)), evaluated so.
     """
     if measure is None:
         measure = GammaMeasure(beta=idx.beta)
@@ -150,6 +151,8 @@ def p_norm(idx: ModeIndex, z, measure: MomentMeasure | None = None):
         raise ValueError("measure.beta and ModeIndex.beta disagree")
     n, m, beta = idx.n, idx.m, idx.beta
     s = min(n, m)
+    if measure.is_builtin:
+        return h_poly(idx, z) * math.sqrt(math.factorial(s) / gamma_fn(beta + max(n, m) + 1.0))
     z = np.asarray(z, dtype=complex)
     mono = z ** (n - s) * np.conjugate(z) ** (m - s)
     phi = ortho_poly_phi(measure, s, abs(n - m) + beta, (z * np.conjugate(z)).real)

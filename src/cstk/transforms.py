@@ -1,6 +1,7 @@
 """Real-line side of the construction: the orthogonality weight of the
 associated Hermite basis (one Kummer form for every x), the basis itself, the
-generalized Bargmann kernels and the quadrature application of the transform.
+generalized Bargmann kernels and the transform, an exact finite sum for an input
+given by its phi-coefficients and a quadrature projection for a sampled grid.
 
 Kernel conventions.  kernel_B(m, beta, z, x) is the fixed-m kernel in its
 generating form B_{beta,m}(z, x) = sqrt(Gamma(beta+1)) sum_n P~_{n,m}(zbar) phi_n(x),
@@ -13,9 +14,12 @@ itself evaluates
 
 the composition that sends the basis function phi_n to the orthonormal
 polynomial P~_{n,m}(z, zbar) with proportionality constant 1 (the kernel
-is a function of zbar, so the evaluation point enters conjugated).  Both sum
-the same closed-form rows P~_{n,m} (poly2d._p_rows); the paper's Hermite-Laguerre
-plus Lauricella form of the kernel is kept as the oracle kernel_B_mp.
+is a function of zbar, so the evaluation point enters conjugated).  So the
+image of sum_n a_n phi_n is the finite sum sum_n a_n P~_{n,m}(z): a
+coefficient input needs no integral and no quadrature rule, and only a grid
+input is projected on one.  Both sum the same closed-form rows P~_{n,m}
+(poly2d._p_rows); the paper's Hermite-Laguerre plus Lauricella form of the
+kernel is kept as the oracle kernel_B_mp.
 """
 
 from __future__ import annotations
@@ -343,14 +347,19 @@ def apply_transform(
     m: int,
     beta: float,
     targets,
-    rule: QuadratureRule,
+    rule: QuadratureRule | None = None,
     ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> list[complex]:
     """Generalized Bargmann transform of f at the given complex targets.
 
-    The rule must integrate against domega_beta (weights folded in, as
-    produced by adaptive_line on omega_weight).  For f = phi_n the result is
-    P~_{n,m}(z, zbar) at each target.  The quadrature sum of f against the
+    The image of phi_n is P~_{n,m}(z, zbar), so a coefficient input
+    f = sum_n a_n phi_n maps to the finite sum sum_n a_n P~_{n,m}(z): exactly
+    len(a) rows at all targets, and ``rule`` is not read.  A vector longer
+    than ctl.max_terms raises ConvergenceError.
+
+    A grid input needs ``rule`` (ValueError without one), which must
+    integrate against domega_beta (weights folded in, as produced by
+    adaptive_line on omega_weight).  The quadrature sum of f against the
     kernel is reassociated: projections d_n = sum_i w_i phi_n(x_i) f(x_i),
     then sum_n d_n P~_{n,m}(z) at all targets, row by row, until at every
     target two successive rows bound below ctl.rel_tol of their peak (the
@@ -359,24 +368,32 @@ def apply_transform(
     _require_beta(beta)
     if abs(f.beta - beta) > 1e-12:
         raise ValueError("function beta and transform beta disagree")
-    x = np.asarray(rule.nodes, dtype=float)
-    fv = f.sample(x)
-    f_parts = np.array([fv.real, fv.imag])
     zs = np.asarray(targets, dtype=complex).ravel()
     out = np.zeros(len(zs), dtype=complex)
-    peak = np.zeros(len(zs))
-    small = 0
-    for n, row, phi in zip(range(ctl.max_terms + 1), _p_rows(m, beta, zs), _phi_rows(beta, x)):
-        # einsum, not np.dot or @: a threaded BLAS call costs milliseconds at these lengths
-        wphi = rule.weights * phi
-        d_re, d_im = np.einsum("ij,j->i", f_parts, wphi)
-        out += complex(d_re, d_im) * row
-        bound = math.sqrt(abs(np.einsum("i,i->", wphi, phi))) * np.abs(row)
-        peak = np.maximum(peak, bound)
-        small = small + 1 if n > m and np.all(bound <= ctl.rel_tol * peak) else 0
-        if small == 2:
-            break
+    if f.kind == "coeffs":
+        if len(f.coeffs) > ctl.max_terms:
+            raise ConvergenceError(f"transform of {len(f.coeffs)} coefficients exceeds {ctl.max_terms} terms")
+        for a, row in zip(f.coeffs, _p_rows(m, beta, zs)):
+            out += a * row
+    elif rule is None:
+        raise ValueError("a grid input needs a quadrature rule against domega_beta")
     else:
-        raise ConvergenceError(f"transform series not converged in {ctl.max_terms} terms")
+        x = np.asarray(rule.nodes, dtype=float)
+        fv = f.sample(x)
+        f_parts = np.array([fv.real, fv.imag])
+        peak = np.zeros(len(zs))
+        small = 0
+        for n, row, phi in zip(range(ctl.max_terms + 1), _p_rows(m, beta, zs), _phi_rows(beta, x)):
+            # einsum, not np.dot or @: a threaded BLAS call costs milliseconds at these lengths
+            wphi = rule.weights * phi
+            d_re, d_im = np.einsum("ij,j->i", f_parts, wphi)
+            out += complex(d_re, d_im) * row
+            bound = math.sqrt(abs(np.einsum("i,i->", wphi, phi))) * np.abs(row)
+            peak = np.maximum(peak, bound)
+            small = small + 1 if n > m and np.all(bound <= ctl.rel_tol * peak) else 0
+            if small == 2:
+                break
+        else:
+            raise ConvergenceError(f"transform series not converged in {ctl.max_terms} terms")
     out /= math.sqrt(gamma_fn(beta + 1.0))
-    return [complex(v) for v in out]
+    return out.tolist()  # Python complexes; complex() per element costs as much as the sum

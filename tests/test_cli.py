@@ -11,6 +11,7 @@ import pytest
 import cstk
 from cstk import cli, transforms, verify
 from cstk.formats import format_complex, parse_complex
+from cstk.poly2d import ModeIndex, p_norm
 
 
 def run(capsys, *argv):
@@ -136,6 +137,42 @@ class TestTransformCommand:
     def test_parse_error_exit(self, capsys, tmp_path):
         code, _ = run(capsys, "transform", "--input", str(tmp_path / "absent.txt"), "--targets", str(tmp_path / "t.txt"))
         assert code == 2
+
+    def test_coefficient_file_builds_no_rule(self, capsys, tmp_path, monkeypatch):
+        def no_rule(*args, **kwargs):
+            raise AssertionError("a coefficient input needs no quadrature rule")
+
+        monkeypatch.setattr(cstk.quadrature, "adaptive_line", no_rule)
+        m, beta = 2, 1.5
+        coeffs = [1.0, 0.25 - 0.5j, 0.0, -0.75 + 0.125j]
+        targets = [0j, 0.6 - 0.8j, -1.7 + 1.1j]
+        fpath, tpath = tmp_path / "f.txt", tmp_path / "targets.txt"
+        fpath.write_text(f"# kind=coeffs beta={beta}\n" + "".join(format_complex(a) + "\n" for a in coeffs))
+        tpath.write_text("".join(format_complex(z) + "\n" for z in targets))
+        code, out = run(capsys, "--format", "csv", "transform", "--input", str(fpath), "--m", str(m),
+                        "--beta", str(beta), "--targets", str(tpath))
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == len(targets)
+        for line, z in zip(rows, targets):
+            value = parse_complex(line.split(",")[1])
+            p = [complex(p_norm(ModeIndex(n, m, beta), z)) for n in range(len(coeffs))]
+            ref = sum(a * pn for a, pn in zip(coeffs, p))
+            scale = math.hypot(*map(abs, coeffs)) * math.hypot(*map(abs, p))
+            assert abs(value - ref) <= 1e-14 * scale
+
+    def test_grid_file(self, capsys, tmp_path):
+        # phi_1(x) = sqrt2 x at beta = 0 maps to P~_{1,0}(z) = z
+        xs = [-9.0 + 0.015 * i for i in range(1201)]
+        fpath, tpath = tmp_path / "f.txt", tmp_path / "targets.txt"
+        fpath.write_text("# kind=grid beta=0\n" + "".join(f"{x!r} {math.sqrt(2.0) * x!r}\n" for x in xs))
+        tpath.write_text("0.5+0.25i\n-1-0.5i\n")
+        code, out = run(capsys, "--format", "csv", "transform", "--input", str(fpath), "--m", "0", "--beta", "0",
+                        "--targets", str(tpath))
+        assert code == 0
+        for line in out.splitlines()[1:]:
+            z, v = (parse_complex(part) for part in line.split(","))
+            assert abs(v - z) <= 1e-12
 
 
 class TestVerifyCommand:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstk.measures import GammaMeasure, gen_factorial, x_gen
+from cstk.measures import CallableMeasure, GammaMeasure, gen_factorial, x_gen
 from cstk.poly2d import ModeIndex, h_poly, h_poly_expand, ito_hermite, ladder_apply, landau_apply, p_norm
 from cstk.quadrature import polar_rule
 from cstk.specfun import gamma_fn, laguerre
@@ -139,6 +139,25 @@ class TestPNorm:
     def test_measure_mismatch(self):
         with pytest.raises(ValueError):
             p_norm(ModeIndex(1, 1, 0.5), 1.0, GammaMeasure(0.0))
+
+    def test_recorded_worst_point_against_mpmath(self):
+        # the float64 route through ortho_poly_phi was 6.2e-14 off here
+        n, m, beta, z = 8, 3, 1.1066, 2.4323 - 1.5899j
+        with mp.workdps(40):
+            zz, b = mp.mpc(z), mp.mpf(beta)
+            h = (-1) ** m * zz ** (n - m) * mp.laguerre(m, n - m + b, abs(zz) ** 2)
+            norm = mp.sqrt(mp.factorial(m) / mp.gamma(b + n + 1))
+            ref, scale = complex(h * norm), float(norm * max(1, abs(h)))
+        assert abs(p_norm(ModeIndex(n, m, beta), z) - ref) <= 1e-15 * scale
+
+    def test_generic_measure_with_gamma_moments(self):
+        # the generic route (ortho_poly_phi on the Cholesky basis) agrees with the builtin one
+        beta = 0.5
+        generic = CallableMeasure(moment_fn=lambda s: math.gamma(s + 1.0), beta=beta)
+        zs = np.array([0.0, 0.7 - 0.2j, -1.3 + 1.1j])
+        for n, m in itertools.product(range(4), repeat=2):
+            idx = ModeIndex(n, m, beta)
+            np.testing.assert_allclose(p_norm(idx, zs, generic), p_norm(idx, zs), rtol=1e-12, atol=1e-14)
 
 
 class TestIto:

@@ -13,7 +13,8 @@ from cstk.measures import GammaMeasure
 from cstk.poly2d import ModeIndex, p_norm
 from cstk.quadrature import QuadratureRule, adaptive_line
 from cstk import transforms as transforms_module
-from cstk.specfun import assoc_hermite, gamma_fn, lauricella_triple, pochhammer
+from cstk.errors import ConvergenceError
+from cstk.specfun import SeriesControl, assoc_hermite, gamma_fn, lauricella_triple, pochhammer
 from cstk.transforms import (
     SampledFunction,
     apply_transform,
@@ -50,7 +51,7 @@ def _zero_limit(m, beta, x):
 def rules():
     return {
         beta: adaptive_line(lambda x, b=beta: omega_weight(x, b), 1e-9, 8)
-        for beta in (0.0, 1.0)
+        for beta in (0.0, 1.0, 2.3)
     }
 
 
@@ -357,18 +358,58 @@ class TestApplyTransform:
                 for v, z in zip(vals, targets):
                     assert abs(v - p_norm(ModeIndex(n, m, beta), z)) <= 1e-8, (n, m, z)
 
-    def test_grid_and_coefficient_paths_agree(self, rules):
-        beta, m = 0.0, 1
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.3])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_grid_and_coefficient_paths_agree(self, rules, beta, n, m):
+        # the spline reproduces phi_n (degree <= 3) exactly, so this holds the
+        # grid path's rule projection to the exact coefficient map
         grid = np.linspace(-9.0, 9.0, 1601)
-        values = basis_phi(2, grid, beta)
-        f_grid = SampledFunction(kind="grid", beta=beta, x=grid, values=values)
-        co = np.array([0.0, 0.0, 1.0])
-        f_co = SampledFunction(kind="coeffs", beta=beta, coeffs=co)
+        f_grid = SampledFunction(kind="grid", beta=beta, x=grid, values=basis_phi(n, grid, beta))
+        f_co = SampledFunction(kind="coeffs", beta=beta, coeffs=np.eye(n + 1)[n])
         targets = [0.5 + 0.5j, 1.2 - 0.3j]
         a = apply_transform(f_grid, m, beta, targets, rules[beta])
-        b = apply_transform(f_co, m, beta, targets, rules[beta])
+        b = apply_transform(f_co, m, beta, targets)
         for va, vb in zip(a, b):
-            assert abs(va - vb) <= 1e-4 * max(abs(vb), 1.0)
+            assert abs(va - vb) <= 1e-12 * max(abs(vb), 1.0)
+
+    # bound on |value - sum_n a_n p_norm_n| / (||a|| (sum_n |p_norm_n|^2)^{1/2}) by
+    # |z|: the rows are complex128, and their Laguerre recurrence loses digits with |z|
+    COEFF_TOL = {0.0: 1e-14, 1e-6: 1e-14, 3.0: 2e-13, 6.0: 2e-12}
+
+    @pytest.mark.parametrize("r", sorted(COEFF_TOL))
+    def test_coefficients_map_exactly_without_rule(self, r):
+        rng = np.random.default_rng(20)
+        zs = r * np.exp(1j * np.array([0.3, 2.5, -1.2, math.pi]))
+        for beta, m, length in itertools.product((0.0, 0.5, 2.3), range(9), (1, 7, 25)):
+            a = rng.normal(size=length) + 1j * rng.normal(size=length)
+            p = np.array([p_norm(ModeIndex(n, m, beta), zs) for n in range(length)])
+            scale = np.linalg.norm(a) * np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
+            vals = np.array(apply_transform(SampledFunction(kind="coeffs", beta=beta, coeffs=a), m, beta, zs))
+            assert np.all(np.abs(vals - a @ p) <= self.COEFF_TOL[r] * scale), (beta, m, length)
+
+    @pytest.mark.parametrize("m", [0, 3, 8])
+    def test_coefficient_vector_with_a_gap(self, m):
+        beta = 0.5
+        zs = np.array([0.0, 0.4 + 0.9j, -2.0 + 1.5j])
+        co = np.zeros(21)
+        co[[0, 20]] = 1.0
+        vals = np.array(apply_transform(SampledFunction(kind="coeffs", beta=beta, coeffs=co), m, beta, zs))
+        p = np.array([p_norm(ModeIndex(n, m, beta), zs) for n in (0, 20)])
+        scale = math.sqrt(2.0) * np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
+        assert np.all(np.abs(vals - p.sum(axis=0)) <= 1e-13 * scale)
+
+    def test_grid_input_needs_a_rule(self):
+        grid = np.linspace(-3.0, 3.0, 61)
+        f = SampledFunction(kind="grid", beta=0.0, x=grid, values=np.exp(-grid**2))
+        with pytest.raises(ValueError, match="quadrature rule"):
+            apply_transform(f, 0, 0.0, [0.5j])
+
+    def test_coefficients_past_max_terms(self):
+        f = SampledFunction(kind="coeffs", beta=0.0, coeffs=np.ones(7))
+        with pytest.raises(ConvergenceError):
+            apply_transform(f, 1, 0.0, [0.5j], ctl=SeriesControl(max_terms=3))
+        assert len(apply_transform(f, 1, 0.0, [0.5j], ctl=SeriesControl(max_terms=7))) == 1
 
     def test_beta_mismatch(self, rules):
         f = SampledFunction(kind="coeffs", beta=0.5, coeffs=np.array([1.0]))

@@ -14,7 +14,8 @@ import numpy as np
 
 from cstk.coherent import eta_density
 from cstk.formats import format_complex, format_real
-from cstk.transforms import kernel_B, kernel_B_true_poly
+from cstk.oracles import kernel_B_true_poly
+from cstk.transforms import kernel_B
 
 
 def main() -> int:

@@ -20,7 +20,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from cstk.transforms import kernel_B_mp  # noqa: E402
+from cstk.oracles import kernel_B_mp  # noqa: E402
 
 OUT = ROOT / "tests" / "data" / "kernel_B_sweep.json"
 MS = tuple(range(9))

@@ -3,7 +3,8 @@
 Layers: scalar special functions (specfun), quadrature rules (quadrature),
 moment machinery over a half-line measure (measures), 2D complex orthogonal
 polynomials (poly2d), coherent-state objects (coherent), Bargmann-type
-kernels and transforms (transforms), and the certification suites (verify).
+kernels and transforms (transforms), the independent references the checks
+compare against (oracles), and the certification suites (verify).
 """
 
 from . import coherent, measures, poly2d, quadrature, specfun, transforms, verify

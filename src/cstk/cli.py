@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import coherent, measures, poly2d, quadrature, transforms, verify
+from . import coherent, measures, oracles, poly2d, quadrature, transforms, verify
 from .errors import NumericError
 from .formats import format_complex, format_real, parse_complex
 from .specfun import SeriesControl
@@ -126,7 +126,7 @@ def cmd_eval(args, cfg: CliConfig) -> int:
             val = transforms.kernel_B_analytic(args.beta, args.z, args.x, ctl)
             name = "B_beta(z,x)"
         elif args.true_poly:
-            val = complex(transforms.kernel_B_true_poly(args.m, args.z, args.x))
+            val = complex(oracles.kernel_B_true_poly(args.m, args.z, args.x))
             name = "B_{0,m}(z,x)"
         else:
             val = complex(transforms.kernel_B(args.m, args.beta, args.z, args.x, ctl))

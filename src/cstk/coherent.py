@@ -1,11 +1,12 @@
-"""Coherent-state coefficients, normalizations, overlaps, reproducing kernel
-and resolution-of-identity densities for the builtin measure r^beta e^{-r} dr.
+"""Coherent-state normalizations, overlaps, reproducing kernel and
+resolution-of-identity densities for the builtin measure r^beta e^{-r} dr.
 
 Conventions.  The unnormalized coefficient of the n-th basis vector in the
 fixed-m state at z is
 
     c_n(z) = conj(H_{n,m}^(beta)(z, zbar)) * sqrt((n^m)! / Gamma(beta+n v m+1)),
 
+that is conj(poly2d.p_norm(ModeIndex(n, m, beta), z)),
 and norm_series returns N = sum |c_n|^2, so states divided by sqrt(N) have
 unit norm.  At m=0 the total normalization S(t) = sum t^n/(beta+1)_n equals
 Gamma(beta+1) * N; both conventions in circulation differ exactly by that
@@ -24,12 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .poly2d import ModeIndex, _p_rows, _row_sum, h_poly
+from .poly2d import _p_rows, _row_sum
 from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, hyp_pfq
 
 __all__ = [
     "CoherentSpec",
-    "gnlcs_coeff",
     "norm_series",
     "norm_closed_m0",
     "overlap_closed",
@@ -52,17 +52,6 @@ class CoherentSpec:
             raise ValueError("idx_m must be non-negative")
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
-
-
-def gnlcs_coeff(n: int, spec: CoherentSpec) -> complex:
-    """Unnormalized coefficient of basis vector n in the state at spec.z.
-
-    At m=0 this reduces to zbar^n / sqrt((beta+1)_n Gamma(beta+1)).
-    """
-    m, beta = spec.idx_m, spec.beta
-    h = h_poly(ModeIndex(n, m, beta), spec.z)
-    scale = math.sqrt(math.factorial(min(n, m)) / gamma_fn(beta + max(n, m) + 1.0))
-    return complex(h).conjugate() * scale
 
 
 def norm_series(spec: CoherentSpec) -> float:

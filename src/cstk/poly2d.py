@@ -1,8 +1,7 @@
 """2D complex orthogonal polynomials H_{n,m}^(beta)(z, zbar).
 
-Closed polar form, exact monomial expansions, the measure-normalized family,
-Ito's complex Hermite specialization, ladder-operator index maps, and the
-exact differential action of the generalized Landau operator
+Closed polar form, exact monomial expansions, the measure-normalized family
+and the exact differential action of the generalized Landau operator
 
     D_beta = -d^2/(dz dzbar) + zbar d/dzbar - (beta/z) d/dzbar,
 
@@ -19,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError
-from .measures import GammaMeasure, MomentMeasure, gen_factorial, ortho_poly_phi, x_gen, zeta
+from .measures import GammaMeasure, MomentMeasure, gen_factorial, ortho_poly_phi, zeta
 from .specfun import SeriesControl, _laguerre_rows, gamma_fn, laguerre
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "h_poly",
     "h_poly_expand",
     "p_norm",
-    "ito_hermite",
-    "ladder_apply",
     "landau_apply",
 ]
 
@@ -206,50 +203,6 @@ def _row_sum(terms, m: int, ctl: SeriesControl, what: str):
         if small == 2:
             return total, _EPS_LD * absum + np.maximum(mag, prev_mag)
     raise ConvergenceError(f"{what} not converged in {ctl.max_terms} terms")
-
-
-def ito_hermite(m: int, n: int, z) -> complex:
-    """Ito's complex Hermite polynomial H_{m,n}(z, zbar) = (m^n)! H_{m,n}^(0).
-
-    Direct double-binomial sum with (z zbar)^min(m,n) factored out of every
-    monomial, so that the sum is real and ito_hermite(m, n, z) is exactly
-    conj(ito_hermite(n, m, z)); orthogonal for the Gaussian weight on C.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("indices must be non-negative")
-    z = complex(z)
-    zc = z.conjugate()
-    s = min(m, n)
-    return z ** (m - s) * zc ** (n - s) * sum(
-        math.comb(m, k) * math.comb(n, k) * (-1.0) ** k * math.factorial(k) * (z * zc).real ** (s - k)
-        for k in range(s + 1)
-    )
-
-
-def ladder_apply(which: str, idx: ModeIndex, measure: MomentMeasure | None = None):
-    """Apply a ladder operator to a mode index.
-
-    Returns (coefficient, target ModeIndex) or (0.0, None) when annihilated.
-    The second pair uses the swapped-index coefficients sqrt(x_{m,n}) /
-    sqrt(x_{m+1,n}); see the eigenvalue comparison report for the bookkeeping
-    discrepancy this convention introduces.
-    """
-    if measure is None:
-        measure = GammaMeasure(beta=idx.beta)
-    n, m = idx.n, idx.m
-    if which == "lower1":
-        if n == 0:
-            return 0.0, None
-        return math.sqrt(x_gen(measure, n, m)), ModeIndex(n - 1, m, idx.beta)
-    if which == "raise1":
-        return math.sqrt(x_gen(measure, n + 1, m)), ModeIndex(n + 1, m, idx.beta)
-    if which == "lower2":
-        if m == 0:
-            return 0.0, None
-        return math.sqrt(x_gen(measure, m, n)), ModeIndex(n, m - 1, idx.beta)
-    if which == "raise2":
-        return math.sqrt(x_gen(measure, m + 1, n)), ModeIndex(n, m + 1, idx.beta)
-    raise ValueError(f"unknown ladder operator {which!r}")
 
 
 def landau_apply(beta: float, expansion: PolyExpansion, z):

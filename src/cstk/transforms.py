@@ -7,7 +7,7 @@ Kernel conventions.  kernel_B(m, beta, z, x) is the fixed-m kernel in its
 generating form B_{beta,m}(z, x) = sqrt(Gamma(beta+1)) sum_n P~_{n,m}(zbar) phi_n(x),
 normalized so that kernel_B(0, beta, .) is the analytic kernel
 (kernel_B_analytic) and kernel_B(m, 0, .) equals the true-polyanalytic
-closed form.  The transform
+closed form (oracles.kernel_B_true_poly).  The transform
 itself evaluates
 
     B[f](z) = Gamma(beta+1)^{-1/2} int kernel_B(m, beta, conj(z), x) f(x) domega_beta(x),
@@ -19,7 +19,7 @@ image of sum_n a_n phi_n is the finite sum sum_n a_n P~_{n,m}(z): a
 coefficient input needs no integral and no quadrature rule, and only a grid
 input is projected on one.  Both sum the same closed-form rows P~_{n,m}
 (poly2d._p_rows); the paper's Hermite-Laguerre plus Lauricella form of the
-kernel is kept as the oracle kernel_B_mp.
+kernel is kept as the oracle oracles.kernel_B_mp.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import ConvergenceError
 from .formats import parse_complex
 from .poly2d import _p_rows, _row_sum
 from .quadrature import QuadratureRule
-from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, hermite, rgamma
+from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, rgamma
 
 __all__ = [
     "SampledFunction",
@@ -43,9 +43,7 @@ __all__ = [
     "omega_weight",
     "basis_phi",
     "kernel_B",
-    "kernel_B_mp",
     "kernel_B_analytic",
-    "kernel_B_true_poly",
     "apply_transform",
 ]
 
@@ -218,29 +216,11 @@ def basis_phi(n: int, x, beta: float):
     return out if out.ndim else out[()]
 
 
-def kernel_B_true_poly(m: int, z: complex, x):
-    """True-polyanalytic Bargmann kernel (closed form, beta = 0):
-
-        (-1)^m (2^m m!)^{-1/2} e^{sqrt2 x zbar - zbar^2/2} H_m(x - (z+zbar)/sqrt2).
-    """
-    z = complex(z)
-    zc = z.conjugate()
-    x = np.asarray(x, dtype=float)
-    shift = (z + zc).real / math.sqrt(2.0)
-    val = (
-        (-1.0) ** m
-        / math.sqrt(2.0**m * math.factorial(m))
-        * np.exp(math.sqrt(2.0) * x * zc - zc * zc / 2.0)
-        * hermite(m, x - shift)
-    )
-    return val if val.ndim else val[()]
-
-
 def kernel_B_analytic(beta: float, z: complex, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
     """Analytic (m = 0) Bargmann kernel B_beta(z, x) = sum_n (zbar/sqrt2)^n H_n(x,beta)/(beta+1)_n,
     an entire function of zbar: kernel_B(0, beta, z, x).  The paper writes it as
     the specialized Lauricella series F(sqrt2 x zbar, -zbar^2/2, -zbar^2; c=beta+1, beta)
-    (specfun.lauricella_triple, the subject of the generating-function check).
+    (oracles.lauricella_triple, the subject of the generating-function check).
     """
     return kernel_B(0, beta, z, x, ctl)
 
@@ -284,62 +264,6 @@ def kernel_B(
         err += np.finfo(float).eps
         return (values, err) if np.ndim(x) else (complex(values[0]), float(err[0]))
     return values if np.ndim(x) else complex(values[0])
-
-
-def kernel_B_mp(m: int, beta: float, z: complex, x: float, dps: int = 40) -> complex:
-    """Arbitrary-precision kernel by the paper's route: the finite
-    Hermite-Laguerre sum over n < m plus the z^m Lauricella part, whose
-    (z zbar)^{-k} terms cancel for small |z| (raise dps by about
-    2m log10(1/|z|)).  A slow scalar oracle, independent of kernel_B.
-    """
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        zq = mp.mpc(complex(z))
-        xq = mp.mpf(float(x))
-        b = mp.mpf(beta)
-        zc = mp.conj(zq)
-        u = (zq * zc).real
-        t = zc / mp.sqrt(2)
-
-        def lag(n, alpha, arg):
-            return mp.fsum(
-                (-1) ** k * mp.rf(alpha + k + 1, n - k) / (mp.factorial(n - k) * mp.factorial(k)) * arg**k
-                for k in range(n + 1)
-            )
-
-        hs = [mp.mpf(1)]
-        for i in range(m - 1):
-            hs.append(2 * xq * hs[i] - 2 * (i + b) * (hs[i - 1] if i >= 1 else mp.mpf(0)))
-        total = mp.mpc(0)
-        for n in range(m):
-            ca = (-1) ** n * zq ** (m - n) * mp.sqrt(mp.factorial(n) / (mp.rf(b + 1, m) * mp.rf(b + 1, n))) * lag(
-                n, m - n + b, u
-            )
-            cb = (-1) ** m * zc ** (n - m) * mp.sqrt(mp.factorial(m)) / mp.rf(b + 1, n) * lag(m, n - m + b, u)
-            total += mp.mpf(2) ** (mp.mpf(-n) / 2) * (ca - cb) * hs[n]
-        zm = zq**m / mp.sqrt(mp.factorial(m))
-        tol = mp.mpf(10) ** (-dps + 5)
-        for k in range(m + 1):
-            g = mp.mpc(0)
-            h_prev, h = mp.mpf(0), mp.mpf(1)
-            tj = mp.mpc(1)
-            gmax = mp.mpf(0)
-            j = 0
-            small = 0
-            while small < 2:
-                rho = 1 / mp.rf(b + 1, j - k) if j >= k else mp.rf(b + 1 - k + j, k - j)
-                term = rho * tj * h
-                g += term
-                gmax = max(gmax, abs(g))
-                small = small + 1 if (j >= k + 4 and abs(term) <= tol * max(gmax, mp.mpf(1e-300))) else 0
-                h, h_prev = 2 * xq * h - 2 * (j + b) * h_prev, h
-                tj *= t
-                j += 1
-                if j > 4000:
-                    raise ConvergenceError("kernel_B_mp series not converged")
-            total += zm * mp.rf(-m, k) / (mp.factorial(k) * u**k) * g
-        return complex(total)
 
 
 def apply_transform(

@@ -16,17 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coherent, measures, poly2d, quadrature, transforms
-from .specfun import (
-    DEFAULT_CONTROL,
-    SeriesControl,
-    assoc_hermite,
-    gamma_fn,
-    hyp_pfq,
-    laguerre,
-    lauricella_triple,
-    mittag_leffler,
-    pochhammer,
-)
+from .oracles import assoc_hermite, closed_bracket, kernel_B_true_poly, lauricella_triple, mittag_leffler
+from .specfun import gamma_fn, hyp_pfq, pochhammer
 
 __all__ = [
     "VerificationReport",
@@ -117,12 +108,18 @@ def check_orthogonality_2d(
     t0 = time.perf_counter()
     diag_tol, off_tol = 1e-8, 1e-10
     max_diag = max_off = max_abs = 0.0
+    pairs = [(j, n) for j in range(nmax + 1) for n in range(nmax + 1)]
+    vals = np.empty((len(pairs), n_r * n_theta), dtype=complex)  # filled anew for each beta
+    step = -(-vals.shape[1] // 16)  # the Gram product in 16 node blocks: no full-size temporaries
     for beta in betas:
         rule = quadrature.polar_rule(n_r, n_theta, beta)
         zpts = rule.complex_points()
-        pairs = [(j, n) for j in range(nmax + 1) for n in range(nmax + 1)]
-        vals = np.array([poly2d.h_poly(poly2d.ModeIndex(j, n, beta), zpts) for j, n in pairs])
-        gram = (vals * rule.weights) @ np.conjugate(vals.T)
+        for row, (j, n) in zip(vals, pairs):
+            row[:] = poly2d.h_poly(poly2d.ModeIndex(j, n, beta), zpts)
+        gram = np.zeros((len(pairs), len(pairs)), dtype=complex)
+        for lo in range(0, len(zpts), step):
+            blk = vals[:, lo : lo + step]
+            gram += (blk * rule.weights[lo : lo + step]) @ np.conjugate(blk.T)
         ref = np.array([math.pi * gamma_fn(beta + max(j, n) + 1.0) / math.factorial(min(j, n)) for j, n in pairs])
         for a in range(len(pairs)):
             for b in range(len(pairs)):
@@ -269,7 +266,7 @@ def check_kernel_reduction(mmax: int = 8, samples: int = 100, seed: int = DEFAUL
     max_rel = max_abs = 0.0
     for m, z, x in zip(ms, zs, xs):
         val = transforms.kernel_B(m, 0.0, complex(z), float(x))
-        ref = transforms.kernel_B_true_poly(m, complex(z), float(x))
+        ref = kernel_B_true_poly(m, complex(z), float(x))
         err = abs(val - ref)
         max_abs = max(max_abs, err)
         max_rel = max(max_rel, err / abs(ref))
@@ -285,42 +282,6 @@ def check_kernel_reduction(mmax: int = 8, samples: int = 100, seed: int = DEFAUL
     )
 
 
-def _closed_bracket(z, w, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
-    """The paper's closed form of sum_n (n^m)!/Gamma(beta+n v m+1) H_{n,m}(z) conj(H_{n,m}(w)),
-    the oracle of the overlap and density-positivity checks (coherent sums the
-    same series row by row).
-
-    Finite Laguerre product sum over n < m plus the double 2F2 sum over the
-    (k, l) parameter grid, summed as one broadcast hypergeometric series.
-    ``z`` and ``w`` broadcast against each other; on the diagonal w = z the
-    value is the squared norm N_{beta,m}(z zbar).  Returns a complex ndarray.
-    """
-    z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
-    zz = (z * z.conj()).real
-    ww = (w * w.conj()).real
-    zw = z * w.conj()
-    total = np.zeros(z.shape, dtype=complex)
-    gm = gamma_fn(beta + m + 1.0)
-    for j in range(m):
-        a = beta + m - j
-        total += math.factorial(j) * (z.conj() * w) ** (m - j) / gm * laguerre(j, a, zz) * laguerre(j, a, ww)
-    front = pochhammer(beta + 1.0, m) / (math.factorial(m) * gamma_fn(beta + 1.0))
-    # the (k, l) terms cancel down to ~1e-9 of their magnitude at m = 8, |z| = 3,
-    # so they are formed and summed in long double, 2F2 values included
-    ld = np.longdouble
-    coeff = np.ones(m + 1, dtype=ld)  # (-m)_k / (k! (beta+1)_k)
-    for j in range(1, m + 1):
-        coeff[j] = coeff[j - 1] * ld(j - 1 - m) / (j * (ld(beta) + j))
-    k = np.arange(m + 1)
-    lead = (slice(None),) + (None,) * z.ndim  # grid index k on a new leading axis
-    zk = coeff[lead] * zz.astype(ld) ** k[lead]
-    wl = coeff[lead] * ww.astype(ld) ** k[lead]
-    b = (ld(beta) + 1 + k)[lead]
-    grid = hyp_pfq([1.0, m + beta + 1.0], [b[:, None], b], zw.astype(np.clongdouble), ctl)
-    second = np.sum(zk[:, None] * wl[None, :] * grid, axis=(0, 1))
-    return total + front * second.astype(complex)
-
-
 def check_overlap(mmax: int = 4, samples: int = 6, betas=(0.0, 0.5, 2.3), seed: int = DEFAULT_SEED) -> VerificationReport:
     """Row-sum overlap vs the paper's closed Laguerre + 2F2 form, |z|,|w| <= 2."""
     t0 = time.perf_counter()
@@ -333,7 +294,7 @@ def check_overlap(mmax: int = 4, samples: int = 6, betas=(0.0, 0.5, 2.3), seed: 
             ws = _annulus_points(rng, samples, 0.05, 2.0)
             for z, w in zip(zs, ws):
                 a = coherent.overlap_closed(complex(z), complex(w), m, beta)
-                cross, nz, nw = _closed_bracket([z, z, w], [w, z, w], m, beta)
+                cross, nz, nw = closed_bracket([z, z, w], [w, z, w], m, beta)
                 b = complex(cross / math.sqrt(nz.real * nw.real))
                 err = abs(a - b)
                 max_abs = max(max_abs, err)
@@ -444,8 +405,9 @@ def check_resolution_identity(mmax: int = 2, betas=(0.0, 1.0), nmax: int = 4, se
             coeffs = np.array(
                 [np.conjugate(poly2d.p_norm(poly2d.ModeIndex(n, m, beta), zpts)) for n in range(nmax + 1)]
             ) / np.sqrt(nvals)
-            integrand = np.conjugate(coeffs[:, None, :]) * coeffs[None, :, :] * nvals
-            gram = np.sum(integrand * rule.weights, axis=2) / math.pi
+            # one row k at a time: the same products and sums as the (k, n, node) broadcast
+            gram = np.array([np.sum(np.conjugate(c) * coeffs * nvals * rule.weights, axis=1) for c in coeffs])
+            gram /= math.pi
             err = np.max(np.abs(gram - np.eye(nmax + 1)))
             max_err = max(max_err, float(err))
             max_abs = max(max_abs, float(err))
@@ -475,7 +437,7 @@ def check_density_positivity(
     argmin = None
     for beta in betas:
         for m in range(mmax + 1):
-            vals = _closed_bracket(radii, radii, m, beta).real * t**beta * np.exp(-t)
+            vals = closed_bracket(radii, radii, m, beta).real * t**beta * np.exp(-t)
             i = int(np.argmin(vals))
             if vals[i] < min_val:
                 min_val = float(vals[i])

@@ -12,15 +12,15 @@ from cstk.coherent import (
     CoherentSpec,
     _norm,
     eta_density,
-    gnlcs_coeff,
     kernel_K,
     norm_closed_m0,
     norm_series,
     overlap_closed,
 )
 from cstk.errors import ConvergenceError
-from cstk.specfun import SeriesControl, gamma_fn, hyp_pfq, mittag_leffler, pochhammer
-from cstk.verify import _closed_bracket
+from cstk.oracles import closed_bracket, mittag_leffler
+from cstk.poly2d import ModeIndex, p_norm
+from cstk.specfun import SeriesControl, gamma_fn, hyp_pfq, pochhammer
 
 disk = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 # mpmath sums of the coefficient series, written by scripts/coherent_reference.py
@@ -29,7 +29,7 @@ REFERENCE = json.loads((Path(__file__).resolve().parent / "data" / "coherent_ref
 
 def _closed_overlap(z, w, m, beta):
     """The overlap from the paper's closed Laguerre + 2F2 bracket (the check-7 oracle)."""
-    cross, nz, nw = _closed_bracket([z, z, w], [w, z, w], m, beta)
+    cross, nz, nw = closed_bracket([z, z, w], [w, z, w], m, beta)
     return complex(cross / math.sqrt(nz.real * nw.real))
 
 
@@ -39,30 +39,32 @@ def _overlap_cases(key):
 
 
 class TestCoefficients:
+    """The state's coefficient c_n(z) is conj(P~_{n,m}(z)) (module docstring)."""
+
+    @staticmethod
+    def coeff(n, m, beta, z):
+        return complex(np.conjugate(p_norm(ModeIndex(n, m, beta), z)))
+
     def test_ground(self):
-        spec = CoherentSpec(z=0.5 + 0.1j, idx_m=0, beta=0.0)
-        assert gnlcs_coeff(0, spec) == pytest.approx(1.0)
+        assert self.coeff(0, 0, 0.0, 0.5 + 0.1j) == pytest.approx(1.0)
 
     def test_m0_reduction_formula(self):
         z = 0.8 - 0.3j
         beta = 1.3
-        spec = CoherentSpec(z=z, idx_m=0, beta=beta)
         for n in range(8):
             ref = np.conjugate(z) ** n / math.sqrt(pochhammer(beta + 1.0, n) * gamma_fn(beta + 1.0))
-            assert gnlcs_coeff(n, spec) == pytest.approx(ref, rel=1e-14)
+            assert self.coeff(n, 0, beta, z) == pytest.approx(ref, rel=1e-14)
 
     def test_m0_ratio(self):
         z = 1.1 + 0.6j
         beta = 0.4
-        spec = CoherentSpec(z=z, idx_m=0, beta=beta)
         for n in range(6):
-            ratio = gnlcs_coeff(n + 1, spec) / gnlcs_coeff(n, spec)
+            ratio = self.coeff(n + 1, 0, beta, z) / self.coeff(n, 0, beta, z)
             assert ratio == pytest.approx(np.conjugate(z) / math.sqrt(n + 1 + beta), rel=1e-13)
 
     def test_m1_n0(self):
         z = 0.7 + 0.2j
-        spec = CoherentSpec(z=z, idx_m=1, beta=0.0)
-        assert gnlcs_coeff(0, spec) == pytest.approx(z, rel=1e-14)  # conj(H_{0,1}) = z
+        assert self.coeff(0, 1, 0.0, z) == pytest.approx(z, rel=1e-14)  # conj(H_{0,1}) = z
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -101,7 +103,7 @@ class TestNormalization:
         beta = 0.6
         for z in [0.5 + 0.5j, 1.4 - 0.3j]:
             spec = CoherentSpec(z=z, idx_m=m, beta=beta)
-            ref = _closed_bracket(z, z, m, beta)
+            ref = closed_bracket(z, z, m, beta)
             assert norm_series(spec) == pytest.approx(ref, rel=1e-9)
 
     def test_budget_error(self):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstk.measures import CallableMeasure, GammaMeasure, gen_factorial, x_gen
-from cstk.poly2d import ModeIndex, h_poly, h_poly_expand, ito_hermite, ladder_apply, landau_apply, p_norm
+from cstk.oracles import ito_hermite
+from cstk.poly2d import ModeIndex, h_poly, h_poly_expand, landau_apply, p_norm
 from cstk.quadrature import polar_rule
 from cstk.specfun import gamma_fn, laguerre
 
@@ -188,43 +189,17 @@ class TestIto:
 
 
 class TestLadder:
-    def test_annihilation(self):
-        coeff, target = ladder_apply("lower1", ModeIndex(0, 4, 0.3))
-        assert coeff == 0.0 and target is None
-        coeff, target = ladder_apply("lower2", ModeIndex(4, 0, 0.3))
-        assert coeff == 0.0 and target is None
-
-    def test_lower1_example(self):
-        coeff, target = ladder_apply("lower1", ModeIndex(3, 1, 0.0))
-        assert coeff == pytest.approx(math.sqrt(3.0), rel=1e-14)
-        assert target == ModeIndex(2, 1, 0.0)
-
-    def test_raise_lower_composition(self):
-        meas = GammaMeasure(0.8)
-        idx = ModeIndex(2, 5, 0.8)
-        up, mid = ladder_apply("raise1", idx, meas)
-        down, back = ladder_apply("lower1", mid, meas)
-        assert back == idx
-        assert up * down == pytest.approx(x_gen(meas, 3, 5), rel=1e-13)
-
-    def test_unknown_operator(self):
-        with pytest.raises(ValueError):
-            ladder_apply("shift", ModeIndex(1, 1, 0.0))
-
     @pytest.mark.parametrize("n,m", [(3, 2), (1, 4), (0, 0), (5, 5)])
     def test_operator_representation_coefficient(self, n, m):
-        # raising from (0,0) n times in the first slot and m times in the
-        # second accumulates exactly sqrt(x_{n,m}! x_{m,0}!)
+        # raising from (0,0) m times in the second slot, by sqrt(x_{k+1,0}),
+        # then n times in the first, by sqrt(x_{k+1,m}), accumulates exactly
+        # sqrt(x_{n,m}! x_{m,0}!)
         meas = GammaMeasure(0.7)
-        idx = ModeIndex(0, 0, 0.7)
         acc = 1.0
-        for _ in range(m):
-            c, idx = ladder_apply("raise2", idx, meas)
-            acc *= c
-        for _ in range(n):
-            c, idx = ladder_apply("raise1", idx, meas)
-            acc *= c
-        assert idx == ModeIndex(n, m, 0.7)
+        for k in range(m):
+            acc *= math.sqrt(x_gen(meas, k + 1, 0))
+        for k in range(n):
+            acc *= math.sqrt(x_gen(meas, k + 1, m))
         ref = math.sqrt(gen_factorial(meas, n, m) * gen_factorial(meas, m, 0))
         assert acc == pytest.approx(ref, rel=1e-12)
 

@@ -8,18 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cstk.errors import ConvergenceError, PoleError
-from cstk.specfun import (
-    SeriesControl,
-    assoc_hermite,
-    gamma_fn,
-    hermite,
-    hyp_pfq,
-    laguerre,
-    lauricella_triple,
-    mittag_leffler,
-    pcf_D,
-    pochhammer,
-)
+from cstk.oracles import assoc_hermite, hermite, lauricella_triple, mittag_leffler
+from cstk.specfun import SeriesControl, gamma_fn, hyp_pfq, laguerre, pochhammer
 
 
 class TestGamma:
@@ -136,50 +126,6 @@ class TestHermite:
         assert assoc_hermite(0, 0.7, 1.9) == 1.0
         assert assoc_hermite(1, 0.7, 1.9) == pytest.approx(1.4)
         assert assoc_hermite(2, 1.0, 0.5) == pytest.approx(1.0)
-
-
-class TestParabolicCylinder:
-    def test_nu_zero_is_gaussian(self):
-        assert pcf_D(0.0, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-
-    @pytest.mark.parametrize("nu", [-1.3, -0.5, 0.7, 2.0])
-    def test_value_at_origin(self, nu):
-        ref = 2.0 ** (nu / 2.0) * math.sqrt(math.pi) / gamma_fn((1.0 - nu) / 2.0)
-        assert pcf_D(nu, 0.0) == pytest.approx(ref, rel=1e-13)
-
-    def test_d0_along_axes(self):
-        for v in np.linspace(-4, 4, 17):
-            assert abs(pcf_D(0.0, complex(v)) - np.exp(-v * v / 4)) <= 1e-12 * abs(np.exp(-v * v / 4))
-            zi = 1j * v
-            assert abs(pcf_D(0.0, zi) - np.exp(v * v / 4)) <= 1e-12 * np.exp(v * v / 4)
-
-    def test_modulus_identity(self):
-        # |D_0(i sqrt2)|^{-2} = e^{-1}
-        val = abs(pcf_D(0.0, 1j * math.sqrt(2.0))) ** (-2)
-        assert val == pytest.approx(math.exp(-1.0), rel=1e-13)
-
-    @pytest.mark.parametrize(
-        "nu,z",
-        [(-1.3, 0.7 + 0.2j), (-0.5, 2.1j), (2.0, 1.5 + 0j), (-2.7, -0.4 + 1.1j), (-1.0, 3.0 + 0j)],
-    )
-    def test_against_mpmath(self, nu, z):
-        with mp.workdps(40):
-            ref = complex(mp.pcfd(nu, z))
-        assert pcf_D(nu, z) == pytest.approx(ref, rel=1e-12)
-
-    @pytest.mark.parametrize("beta", [1.7, 2.3, 3.5])
-    @pytest.mark.parametrize("x", [3.0, 3.5])
-    def test_weight_argument_against_mpmath(self, beta, x):
-        # D_{-beta}(i x sqrt2) at the inner edge of the weight's series range,
-        # where the terms cancel to ~e^{-x^2} of their size
-        z = 1j * math.sqrt(2.0) * x
-        with mp.workdps(50):
-            ref = complex(mp.pcfd(-beta, z))
-        assert abs(pcf_D(-beta, z) - ref) <= 1e-10 * abs(ref)
-
-    def test_budget_error(self):
-        with pytest.raises(ConvergenceError):
-            pcf_D(-1.3, 9.0j, SeriesControl(max_terms=5))
 
 
 class TestHypPFQ:

@@ -14,15 +14,14 @@ from cstk.poly2d import ModeIndex, p_norm
 from cstk.quadrature import QuadratureRule, adaptive_line
 from cstk import transforms as transforms_module
 from cstk.errors import ConvergenceError
-from cstk.specfun import SeriesControl, assoc_hermite, gamma_fn, lauricella_triple, pochhammer
+from cstk.oracles import assoc_hermite, kernel_B_mp, kernel_B_true_poly, lauricella_triple
+from cstk.specfun import SeriesControl, gamma_fn, pochhammer
 from cstk.transforms import (
     SampledFunction,
     apply_transform,
     basis_phi,
     kernel_B,
     kernel_B_analytic,
-    kernel_B_mp,
-    kernel_B_true_poly,
     _omega_kummer,
     load_sampled,
     omega_weight,

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -73,6 +74,27 @@ class TestReducedChecks:
     def test_density(self):
         rep = verify.check_density_positivity(mmax=2, betas=(0.5,), grid_points=16)
         assert rep.passed and rep.details["min_density"] >= 0.0
+
+
+class TestPeakMemory:
+    """The two largest polar-rule checks at full size, under tracemalloc: the
+    (49, 16384) orthogonality rows and the resolution-identity Gram need no
+    full-size temporaries (they peaked at 37.5 MiB and 21.0 MiB)."""
+
+    @staticmethod
+    def peak_mib(check):
+        tracemalloc.start()
+        try:
+            assert check().passed
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_orthogonality_2d(self):
+        assert self.peak_mib(verify.check_orthogonality_2d) <= 30.0
+
+    def test_resolution_identity(self):
+        assert self.peak_mib(verify.check_resolution_identity) <= 10.0
 
 
 class TestSuiteRunner:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericError
 from .poly2d import _p_rows, _row_sum
 from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, hyp_pfq
 
@@ -56,7 +56,7 @@ class CoherentSpec:
 
 def norm_series(spec: CoherentSpec) -> float:
     """Squared norm N = sum_n |c_n|^2 of the unnormalized coefficient vector,
-    the bracket on the diagonal."""
+    the bracket on the diagonal.  Raises NumericError where N overflows float64."""
     return float(_norm(spec.z, spec.idx_m, spec.beta, spec.truncation))
 
 
@@ -65,6 +65,7 @@ def norm_closed_m0(beta: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) 
 
     Equals e^t 1F1(beta; beta+1; -t) and Gamma(beta+1) E_{1,beta+1}(t); the
     state built with coefficients zbar^n/sqrt((beta+1)_n) has norm S(t)^{1/2}.
+    Raises NumericError where S(t) overflows float64.
     """
     total = 0.0
     comp = 0.0
@@ -76,6 +77,8 @@ def norm_closed_m0(beta: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) 
         comp = (s - total) - y
         total = s
         if n >= 2 and term <= ctl.rel_tol * abs(total) and prev <= ctl.rel_tol * abs(total):
+            if math.isinf(total):  # an infinite total passes the test above trivially
+                raise NumericError(f"norm_closed_m0 overflows float64 at beta={beta}, t={t}")
             return total
         prev = term
         term *= t / (beta + 1.0 + n)
@@ -87,28 +90,35 @@ def _norm(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     the diagonal: one poly2d._p_rows generator summed in long double.
 
     ``z`` may be a scalar or an array; returns real values of its shape.
+    Raises NumericError where N overflows float64 (|z| of about 27 and up).
     """
     rows = _p_rows(m, beta, np.asarray(z, dtype=np.clongdouble))
-    return _bracket_sum((r * np.conj(r) for r in rows), m, beta, ctl).real
+    total = _bracket_sum((r * np.conj(r) for r in rows), m, beta, ctl).real
+    if np.any(total > np.finfo(float).max):
+        raise NumericError(f"the squared norm overflows float64 at m={m}, beta={beta}")
+    return total.astype(float)
 
 
 def _bracket_sum(terms, m: int, beta: float, ctl: SeriesControl):
     """The row sum of bracket terms row(z) conj(row(w)) = c_n(w) conj(c_n(z)),
-    divided by Gamma(beta+1).  The stopping test compares the terms with their
-    own partial sum, which for distant states lies far below sqrt(N_z N_w)."""
+    divided by Gamma(beta+1), in long double.  The stopping test compares the
+    terms with their own partial sum, which for distant states lies far below
+    sqrt(N_z N_w)."""
     total, _ = _row_sum(terms, m, ctl, "coherent bracket")
-    return (total / np.longdouble(gamma_fn(beta + 1.0))).astype(complex)
+    return total / np.longdouble(gamma_fn(beta + 1.0))
 
 
 def overlap_closed(z: complex, w: complex, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
     """Normalized overlap of the states at z and w (row sum of the bracket).
 
-    The brackets (z, w), (z, z) and (w, w) are evaluated in one call.  The
-    diagonal overlap is exactly 1 by construction of the normalization.
+    The brackets (z, w), (z, z) and (w, w) are evaluated in one call and
+    divided in long double, so the quotient is rounded once and stays finite
+    where N_z N_w overflows float64.  The diagonal overlap is exactly 1 by
+    construction of the normalization.
     """
     rows = _p_rows(m, beta, np.array([z, w], dtype=np.clongdouble))  # one generator for both states
     cross, nz, nw = _bracket_sum((r[[0, 0, 1]] * np.conj(r[[1, 0, 1]]) for r in rows), m, beta, ctl)
-    return complex(cross / math.sqrt(nz.real * nw.real))
+    return complex(cross / np.sqrt(nz.real * nw.real))
 
 
 def kernel_K(z: complex, w: complex, beta: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
@@ -124,8 +134,14 @@ def eta_density(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     on the diagonal.  At m=0 this is exactly
     1F1(beta; beta+1; -z zbar) (z zbar)^beta / Gamma(beta+1).  ``z`` may be a
     scalar (float result) or an array (ndarray result of the same shape).
+    Raises NumericError where N or the product overflows float64, or where
+    e^{-z zbar} falls below the normal float64 range and loses digits.
     """
     z = np.asarray(z, dtype=complex)
     t = (z * z.conj()).real
-    out = _norm(z, m, beta, ctl) * t**beta * np.exp(-t)
+    decay = np.exp(-t)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = _norm(z, m, beta, ctl) * t**beta * decay
+    if not np.all(np.isfinite(out) & (decay >= np.finfo(float).tiny)):
+        raise NumericError(f"eta_density leaves the float64 range at m={m}, beta={beta}")
     return out if out.ndim else float(out)

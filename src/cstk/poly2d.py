@@ -140,7 +140,8 @@ def p_norm(idx: ModeIndex, z, measure: MomentMeasure | None = None):
 
     P~ = z-monomial * phi_{n^m}(z zbar; |n-m|+beta) / sqrt(zeta_0(m+beta) x_{n,m}!);
     the builtin measure reduces to h_poly / sqrt(Gamma(beta+m+1) x_{n,m}!)
-    = h_poly sqrt(min(n,m)! / Gamma(beta+max(n,m)+1)), evaluated so.
+    = h_poly sqrt(min(n,m)! / Gamma(beta+max(n,m)+1)), evaluated so, with the
+    root taken from math.lgamma where Gamma(beta+max(n,m)+1) overflows float64.
     """
     if measure is None:
         measure = GammaMeasure(beta=idx.beta)
@@ -149,7 +150,11 @@ def p_norm(idx: ModeIndex, z, measure: MomentMeasure | None = None):
     n, m, beta = idx.n, idx.m, idx.beta
     s = min(n, m)
     if measure.is_builtin:
-        return h_poly(idx, z) * math.sqrt(math.factorial(s) / gamma_fn(beta + max(n, m) + 1.0))
+        try:
+            scale = math.sqrt(math.factorial(s) / gamma_fn(beta + max(n, m) + 1.0))
+        except OverflowError:
+            scale = math.exp(0.5 * (math.lgamma(s + 1.0) - math.lgamma(beta + max(n, m) + 1.0)))
+        return h_poly(idx, z) * scale
     z = np.asarray(z, dtype=complex)
     mono = z ** (n - s) * np.conjugate(z) ** (m - s)
     phi = ortho_poly_phi(measure, s, abs(n - m) + beta, (z * np.conjugate(z)).real)

@@ -90,6 +90,37 @@ class VerificationReport:
         )
 
 
+def _max(errs) -> float:
+    """The largest of a collection of errors (scalars or arrays), 0.0 if there
+    are none.  A nan anywhere makes it nan: max(0.0, nan) would be 0.0."""
+    return float(np.max([np.max(e, initial=0.0) for e in errs], initial=0.0))
+
+
+def _report(name, t0, seed, params, pairs, *, abs_err=None, details=None, mode="rel") -> VerificationReport:
+    """Build a check's report from its named (errors, tolerance) pairs.
+
+    The report passes when every pair's largest error is within its
+    tolerance, so a nan error fails it.  The first pair gives the report's
+    error (``max_rel_err``, and ``max_abs_err`` too in ``mode="abs"`` or when
+    no ``abs_err`` is given) and its ``tolerance``; ``details["err_over_tol"]``
+    holds every pair's largest error divided by its tolerance.
+    """
+    worst = {key: _max(errs) for key, (errs, _) in pairs.items()}
+    first = next(iter(pairs))
+    return VerificationReport(
+        check_name=name,
+        parameters=params,
+        max_abs_err=worst[first] if abs_err is None else _max(abs_err),
+        max_rel_err=worst[first],
+        tolerance=pairs[first][1],
+        passed=all(worst[key] <= tol for key, (_, tol) in pairs.items()),
+        runtime_seconds=time.perf_counter() - t0,
+        seed=seed,
+        mode=mode,
+        details={**(details or {}), "err_over_tol": {key: worst[key] / tol for key, (_, tol) in pairs.items()}},
+    )
+
+
 def _annulus_points(rng, count, rmin, rmax):
     r = rng.uniform(rmin, rmax, count)
     th = rng.uniform(0.0, 2.0 * math.pi, count)
@@ -107,8 +138,9 @@ def check_orthogonality_2d(
     closed-form diagonal pi Gamma(beta + max(j,n) + 1)/min(j,n)!."""
     t0 = time.perf_counter()
     diag_tol, off_tol = 1e-8, 1e-10
-    max_diag = max_off = max_abs = 0.0
+    diag, off, absolute = [], [], []
     pairs = [(j, n) for j in range(nmax + 1) for n in range(nmax + 1)]
+    offdiag = ~np.eye(len(pairs), dtype=bool)
     vals = np.empty((len(pairs), n_r * n_theta), dtype=complex)  # filled anew for each beta
     step = -(-vals.shape[1] // 16)  # the Gram product in 16 node blocks: no full-size temporaries
     for beta in betas:
@@ -121,26 +153,14 @@ def check_orthogonality_2d(
             blk = vals[:, lo : lo + step]
             gram += (blk * rule.weights[lo : lo + step]) @ np.conjugate(blk.T)
         ref = np.array([math.pi * gamma_fn(beta + max(j, n) + 1.0) / math.factorial(min(j, n)) for j, n in pairs])
-        for a in range(len(pairs)):
-            for b in range(len(pairs)):
-                if a == b:
-                    err = abs(gram[a, a].real - ref[a]) / ref[a]
-                    max_diag = max(max_diag, err)
-                    max_abs = max(max_abs, abs(gram[a, a].real - ref[a]))
-                else:
-                    err = abs(gram[a, b]) / math.sqrt(ref[a] * ref[b])
-                    max_off = max(max_off, err)
-                    max_abs = max(max_abs, abs(gram[a, b]))
-    return VerificationReport(
-        check_name="orthogonality-2d",
-        parameters={"betas": list(betas), "nmax": nmax, "n_r": n_r, "n_theta": n_theta},
-        max_abs_err=max_abs,
-        max_rel_err=max_diag,
-        tolerance=diag_tol,
-        passed=(max_diag <= diag_tol and max_off <= off_tol),
-        runtime_seconds=time.perf_counter() - t0,
-        seed=seed,
-        details={"max_offdiag_rel": max_off, "offdiag_tolerance": off_tol},
+        dev, mag = np.abs(gram.diagonal().real - ref), np.abs(gram)
+        diag.append(dev / ref)
+        off.append((mag / np.sqrt(np.outer(ref, ref)))[offdiag])
+        absolute += [dev, mag[offdiag]]
+    params = {"betas": list(betas), "nmax": nmax, "n_r": n_r, "n_theta": n_theta}
+    return _report(
+        "orthogonality-2d", t0, seed, params, {"diagonal": (diag, diag_tol), "off-diagonal": (off, off_tol)},
+        abs_err=absolute, details={"max_offdiag_rel": _max(off), "offdiag_tolerance": off_tol},
     )
 
 
@@ -152,37 +172,26 @@ def check_assoc_hermite(betas=(0.0, 1.0, 1.7), nmax: int = 5, seed: int = DEFAUL
     """
     t0 = time.perf_counter()
     tol, tol_beta0 = 1e-6, 1e-10
-    max_rel = max_abs = beta0_rel = 0.0
+    rel, absolute, beta0 = [], [], []
+    lower = np.tril_indices(nmax + 1)  # (n, k) with k <= n
     for beta in betas:
         weight = lambda x, b=beta: transforms.omega_weight(x, b) * math.sqrt(math.pi) * gamma_fn(b + 1.0)
         rule = quadrature.adaptive_line(weight, 1e-11 if beta == 0.0 else 1e-9, nmax + 1)
         x = rule.nodes
         hvals = np.array([assoc_hermite(n, x, beta) for n in range(nmax + 1)])
         gram = (hvals * rule.weights) @ hvals.T
-        for n in range(nmax + 1):
-            ref = 2.0**n * math.sqrt(math.pi) * gamma_fn(n + beta + 1.0)
-            err = abs(gram[n, n] - ref) / ref
-            max_rel = max(max_rel, err)
-            max_abs = max(max_abs, abs(gram[n, n] - ref))
-            if beta == 0.0:
-                beta0_rel = max(beta0_rel, err)
-            for k in range(n):
-                refk = 2.0**k * math.sqrt(math.pi) * gamma_fn(k + beta + 1.0)
-                err = abs(gram[n, k]) / math.sqrt(ref * refk)
-                max_rel = max(max_rel, err)
-                max_abs = max(max_abs, abs(gram[n, k]))
-                if beta == 0.0:
-                    beta0_rel = max(beta0_rel, err)
-    return VerificationReport(
-        check_name="assoc-hermite",
-        parameters={"betas": list(betas), "nmax": nmax},
-        max_abs_err=max_abs,
-        max_rel_err=max_rel,
-        tolerance=tol,
-        passed=(max_rel <= tol and beta0_rel <= tol_beta0),
-        runtime_seconds=time.perf_counter() - t0,
-        seed=seed,
-        details={"beta0_max_rel": beta0_rel, "beta0_tolerance": tol_beta0},
+        ref = np.array([2.0**n * math.sqrt(math.pi) * gamma_fn(n + beta + 1.0) for n in range(nmax + 1)])
+        dev = np.abs(gram - np.diag(ref))
+        err = dev / np.sqrt(np.outer(ref, ref))
+        np.fill_diagonal(err, dev.diagonal() / ref)
+        rel.append(err[lower])
+        absolute.append(dev[lower])
+        if beta == 0.0:
+            beta0.append(err[lower])
+    return _report(
+        "assoc-hermite", t0, seed, {"betas": list(betas), "nmax": nmax},
+        {"gram": (rel, tol), "beta0-hermite": (beta0, tol_beta0)},
+        abs_err=absolute, details={"beta0_max_rel": _max(beta0), "beta0_tolerance": tol_beta0},
     )
 
 
@@ -192,27 +201,17 @@ def check_kummer_normalization(
     """Three-way agreement of the m=0 normalization: direct series,
     e^t 1F1(beta; beta+1; -t) and Gamma(beta+1) E_{1,beta+1}(t)."""
     t0 = time.perf_counter()
-    tol = 1e-11
     ts = np.linspace(0.0, 10.0, 41) if ts is None else np.asarray(ts, dtype=float)
-    max_rel = max_abs = 0.0
+    rel, absolute = [], []
     for beta in betas:
-        for t in ts:
-            a = coherent.norm_closed_m0(beta, float(t))
-            b = math.exp(t) * hyp_pfq([beta], [beta + 1.0], -float(t)).real
-            c = gamma_fn(beta + 1.0) * mittag_leffler(1.0, beta + 1.0, float(t))
-            spread = max(abs(a - b), abs(a - c), abs(b - c))
-            max_abs = max(max_abs, spread)
-            max_rel = max(max_rel, spread / abs(a))
-    return VerificationReport(
-        check_name="kummer-normalization",
-        parameters={"betas": list(betas), "t_range": [float(ts[0]), float(ts[-1])], "t_count": len(ts)},
-        max_abs_err=max_abs,
-        max_rel_err=max_rel,
-        tolerance=tol,
-        passed=max_rel <= tol,
-        runtime_seconds=time.perf_counter() - t0,
-        seed=seed,
-    )
+        a = np.array([coherent.norm_closed_m0(beta, float(t)) for t in ts])
+        b = np.array([math.exp(t) * hyp_pfq([beta], [beta + 1.0], -float(t)).real for t in ts])
+        c = np.array([gamma_fn(beta + 1.0) * mittag_leffler(1.0, beta + 1.0, float(t)) for t in ts])
+        spread = np.max(np.abs([a - b, a - c, b - c]), axis=0)
+        absolute.append(spread)
+        rel.append(spread / np.abs(a))
+    params = {"betas": list(betas), "t_range": [float(ts[0]), float(ts[-1])], "t_count": len(ts)}
+    return _report("kummer-normalization", t0, seed, params, {"three-way": (rel, 1e-11)}, abs_err=absolute)
 
 
 def check_generating_function(
@@ -220,10 +219,9 @@ def check_generating_function(
 ) -> VerificationReport:
     """Lauricella triple series vs the direct sum_n t^n H_n(x, beta)/(c)_n."""
     t0 = time.perf_counter()
-    tol = 1e-9
     rng = np.random.default_rng(seed)
     tpts = np.concatenate([[0.4 + 0.0j], _annulus_points(rng, samples - 1, 0.05, 0.5)])
-    max_rel = max_abs = 0.0
+    rel, absolute = [], []
     for beta in betas:
         for c in cs:
             for x in xs:
@@ -240,45 +238,26 @@ def check_generating_function(
                         if n > 400:
                             raise RuntimeError("direct generating-series oracle failed to converge")
                     err = abs(val - direct)
-                    max_abs = max(max_abs, err)
-                    max_rel = max(max_rel, err / max(abs(direct), 1e-30))
-    return VerificationReport(
-        check_name="generating-function",
-        parameters={"betas": list(betas), "cs": list(cs), "xs": list(xs), "samples": int(len(tpts))},
-        max_abs_err=max_abs,
-        max_rel_err=max_rel,
-        tolerance=tol,
-        passed=max_rel <= tol,
-        runtime_seconds=time.perf_counter() - t0,
-        seed=seed,
-    )
+                    absolute.append(err)
+                    rel.append(err / max(abs(direct), 1e-30))
+    params = {"betas": list(betas), "cs": list(cs), "xs": list(xs), "samples": int(len(tpts))}
+    return _report("generating-function", t0, seed, params, {"lauricella": (rel, 1e-9)}, abs_err=absolute)
 
 
 def check_kernel_reduction(mmax: int = 8, samples: int = 100, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Generating-form kernel at beta=0 vs the true-polyanalytic closed form,
     over fixed-seed points with |z| <= 3, |x| <= 3."""
     t0 = time.perf_counter()
-    tol = 1e-8
     rng = np.random.default_rng(seed)
     zs = _annulus_points(rng, samples, 0.0, 3.0)
     xs = rng.uniform(-3.0, 3.0, samples)
     ms = [i % (mmax + 1) for i in range(samples)]
-    max_rel = max_abs = 0.0
-    for m, z, x in zip(ms, zs, xs):
-        val = transforms.kernel_B(m, 0.0, complex(z), float(x))
-        ref = kernel_B_true_poly(m, complex(z), float(x))
-        err = abs(val - ref)
-        max_abs = max(max_abs, err)
-        max_rel = max(max_rel, err / abs(ref))
-    return VerificationReport(
-        check_name="kernel-reduction",
-        parameters={"mmax": mmax, "samples": samples},
-        max_abs_err=max_abs,
-        max_rel_err=max_rel,
-        tolerance=tol,
-        passed=max_rel <= tol,
-        runtime_seconds=time.perf_counter() - t0,
-        seed=seed,
+    val = np.array([transforms.kernel_B(m, 0.0, complex(z), float(x)) for m, z, x in zip(ms, zs, xs)])
+    ref = np.array([kernel_B_true_poly(m, complex(z), float(x)) for m, z, x in zip(ms, zs, xs)])
+    err = np.abs(val - ref)
+    return _report(
+        "kernel-reduction", t0, seed, {"mmax": mmax, "samples": samples},
+        {"true-polyanalytic": ([err / np.abs(ref)], 1e-8)}, abs_err=[err],
     )
 
 
@@ -287,7 +266,7 @@ def check_overlap(mmax: int = 4, samples: int = 6, betas=(0.0, 0.5, 2.3), seed: 
     t0 = time.perf_counter()
     tol, diag_tol = 1e-8, 1e-9
     rng = np.random.default_rng(seed)
-    max_rel = max_abs = diag_err = 0.0
+    rel, absolute, diag = [], [], []
     for beta in betas:
         for m in range(mmax + 1):
             zs = _annulus_points(rng, samples, 0.05, 2.0)
@@ -297,28 +276,21 @@ def check_overlap(mmax: int = 4, samples: int = 6, betas=(0.0, 0.5, 2.3), seed: 
                 cross, nz, nw = closed_bracket([z, z, w], [w, z, w], m, beta)
                 b = complex(cross / math.sqrt(nz.real * nw.real))
                 err = abs(a - b)
-                max_abs = max(max_abs, err)
-                max_rel = max(max_rel, err / max(abs(b), 1e-30))
-                diag_err = max(diag_err, abs(coherent.overlap_closed(complex(z), complex(z), m, beta) - 1.0))
-    return VerificationReport(
-        check_name="overlap",
-        parameters={"mmax": mmax, "samples_per_m": samples, "betas": list(betas)},
-        max_abs_err=max_abs,
-        max_rel_err=max_rel,
-        tolerance=tol,
-        passed=(max_rel <= tol and diag_err <= diag_tol),
-        runtime_seconds=time.perf_counter() - t0,
-        seed=seed,
-        details={"max_diag_deviation": diag_err, "diag_tolerance": diag_tol},
+                absolute.append(err)
+                rel.append(err / max(abs(b), 1e-30))
+                diag.append(abs(coherent.overlap_closed(complex(z), complex(z), m, beta) - 1.0))
+    return _report(
+        "overlap", t0, seed, {"mmax": mmax, "samples_per_m": samples, "betas": list(betas)},
+        {"closed-form": (rel, tol), "diagonal": (diag, diag_tol)},
+        abs_err=absolute, details={"max_diag_deviation": _max(diag), "diag_tolerance": diag_tol},
     )
 
 
 def check_pde_eigen(betas=(0.0, 0.5, 2.3), nmax: int = 8, samples: int = 50, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Exact-differentiation residual of the Landau operator eigen-identity."""
     t0 = time.perf_counter()
-    tol = 1e-10
     rng = np.random.default_rng(seed)
-    max_scaled = max_abs = 0.0
+    scaled, absolute = [], []
     for beta in betas:
         for n in range(nmax + 1):
             for m in range(n + 1):
@@ -328,18 +300,11 @@ def check_pde_eigen(betas=(0.0, 0.5, 2.3), nmax: int = 8, samples: int = 50, see
                 lhs = poly2d.landau_apply(beta, expansion, zs)
                 href = poly2d.h_poly(idx, zs)
                 resid = np.abs(lhs - m * href)
-                max_abs = max(max_abs, float(np.max(resid)))
-                max_scaled = max(max_scaled, float(np.max(resid / (1.0 + np.abs(href)))))
-    return VerificationReport(
-        check_name="pde-eigen",
-        parameters={"betas": list(betas), "nmax": nmax, "samples_per_index": samples},
-        max_abs_err=max_abs,
-        max_rel_err=max_scaled,
-        tolerance=tol,
-        passed=max_scaled <= tol,
-        runtime_seconds=time.perf_counter() - t0,
-        seed=seed,
-        details={"error_scale": "residual / (1 + |H|)"},
+                absolute.append(resid)
+                scaled.append(resid / (1.0 + np.abs(href)))
+    return _report(
+        "pde-eigen", t0, seed, {"betas": list(betas), "nmax": nmax, "samples_per_index": samples},
+        {"landau-residual": (scaled, 1e-10)}, abs_err=absolute, details={"error_scale": "residual / (1 + |H|)"},
     )
 
 
@@ -348,11 +313,9 @@ def check_transform(mmax: int = 3, betas=(0.0, 1.0), nmax: int = 3, seed: int = 
     vs the orthonormal polynomial, and the Gram matrix of the images under
     the polar rule vs the identity."""
     t0 = time.perf_counter()
-    tol = 1e-5
     rng = np.random.default_rng(seed)
     targets = _annulus_points(rng, 12, 0.0, 1.8)
-    max_rel = max_abs = gram_err = 0.0
-    alpha_dev = 0.0
+    resid, absolute, gram_dev, alpha_dev = [], [], [], []
     for beta in betas:
         prule = quadrature.polar_rule(20, 48, beta)
         zpts = prule.complex_points()
@@ -365,24 +328,18 @@ def check_transform(mmax: int = 3, betas=(0.0, 1.0), nmax: int = 3, seed: int = 
                 vals = np.array(transforms.apply_transform(f, m, beta, targets))
                 refs = np.array([poly2d.p_norm(poly2d.ModeIndex(n, m, beta), z) for z in targets])
                 alpha = np.vdot(refs, vals) / np.vdot(refs, refs)
-                resid = np.max(np.abs(vals - alpha * refs)) / np.max(np.abs(refs))
-                max_rel = max(max_rel, resid)
-                max_abs = max(max_abs, float(np.max(np.abs(vals - refs))))
-                alpha_dev = max(alpha_dev, abs(alpha - 1.0))
+                resid.append(np.max(np.abs(vals - alpha * refs)) / np.max(np.abs(refs)))
+                absolute.append(np.abs(vals - refs))
+                alpha_dev.append(abs(alpha - 1.0))
                 images.append(np.array(transforms.apply_transform(f, m, beta, zpts)))
             rows = np.array(images)
             gram = (rows * prule.weights) @ np.conjugate(rows.T) / math.pi
-            gram_err = max(gram_err, float(np.max(np.abs(gram - np.eye(nmax + 1)))))
-    return VerificationReport(
-        check_name="transform",
-        parameters={"mmax": mmax, "betas": list(betas), "nmax": nmax},
-        max_abs_err=max_abs,
-        max_rel_err=max(max_rel, gram_err),
-        tolerance=tol,
-        passed=(max_rel <= tol and gram_err <= tol),
-        runtime_seconds=time.perf_counter() - t0,
-        seed=seed,
-        details={"pointwise_residual": max_rel, "gram_deviation": gram_err, "proportionality_offset": alpha_dev},
+            gram_dev.append(np.abs(gram - np.eye(nmax + 1)))
+    pointwise, gram_err = _max(resid), _max(gram_dev)
+    details = {"pointwise_residual": pointwise, "gram_deviation": gram_err, "proportionality_offset": _max(alpha_dev)}
+    return _report(
+        "transform", t0, seed, {"mmax": mmax, "betas": list(betas), "nmax": nmax},
+        {"pointwise-and-gram": ([pointwise, gram_err], 1e-5)}, abs_err=absolute, details=details,
     )
 
 
@@ -390,8 +347,7 @@ def check_resolution_identity(mmax: int = 2, betas=(0.0, 1.0), nmax: int = 4, se
     """Resolution of identity: normalized coefficient overlaps against the
     eta density integrate to delta_{kn} under the polar rule (1/pi folded)."""
     t0 = time.perf_counter()
-    tol = 1e-6
-    max_err = max_abs = 0.0
+    errs = []
     for beta in betas:
         rule = quadrature.polar_rule(64, 256, beta)
         zpts = rule.complex_points()
@@ -408,18 +364,9 @@ def check_resolution_identity(mmax: int = 2, betas=(0.0, 1.0), nmax: int = 4, se
             # one row k at a time: the same products and sums as the (k, n, node) broadcast
             gram = np.array([np.sum(np.conjugate(c) * coeffs * nvals * rule.weights, axis=1) for c in coeffs])
             gram /= math.pi
-            err = np.max(np.abs(gram - np.eye(nmax + 1)))
-            max_err = max(max_err, float(err))
-            max_abs = max(max_abs, float(err))
-    return VerificationReport(
-        check_name="resolution-identity",
-        parameters={"mmax": mmax, "betas": list(betas), "nmax": nmax},
-        max_abs_err=max_abs,
-        max_rel_err=max_err,
-        tolerance=tol,
-        passed=max_err <= tol,
-        runtime_seconds=time.perf_counter() - t0,
-        seed=seed,
+            errs.append(np.abs(gram - np.eye(nmax + 1)))
+    return _report(
+        "resolution-identity", t0, seed, {"mmax": mmax, "betas": list(betas), "nmax": nmax}, {"gram": (errs, 1e-6)}
     )
 
 
@@ -430,79 +377,51 @@ def check_density_positivity(
     grid; the construction implies positivity but the closed form does not
     show it (the row sum of coherent.eta_density is a sum of squares)."""
     t0 = time.perf_counter()
-    tol = 1e-12
     radii = np.geomspace(1e-2, 6.0, grid_points)
     t = radii * radii
-    min_val = math.inf
-    argmin = None
-    for beta in betas:
-        for m in range(mmax + 1):
-            vals = closed_bracket(radii, radii, m, beta).real * t**beta * np.exp(-t)
-            i = int(np.argmin(vals))
-            if vals[i] < min_val:
-                min_val = float(vals[i])
-                argmin = {"m": m, "beta": beta, "radius": float(radii[i])}
-    return VerificationReport(
-        check_name="density-positivity",
-        parameters={"mmax": mmax, "betas": list(betas), "grid_points": grid_points},
-        max_abs_err=max(0.0, -min_val),
-        max_rel_err=max(0.0, -min_val),
-        tolerance=tol,
-        passed=min_val >= -tol,
-        runtime_seconds=time.perf_counter() - t0,
-        seed=seed,
-        mode="abs",
-        details={"min_density": min_val, "argmin": argmin},
+    cases = [(m, beta) for beta in betas for m in range(mmax + 1)]
+    vals = np.array([closed_bracket(radii, radii, m, beta).real * t**beta * np.exp(-t) for m, beta in cases])
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)  # the first minimum, or the first nan
+    m, beta = cases[i]
+    return _report(
+        "density-positivity", t0, seed, {"mmax": mmax, "betas": list(betas), "grid_points": grid_points},
+        {"negative-part": ([-vals], 1e-12)}, mode="abs",
+        details={"min_density": float(vals[i, j]), "argmin": {"m": m, "beta": beta, "radius": float(radii[j])}},
     )
 
 
 def check_quadrature(seed: int = DEFAULT_SEED) -> VerificationReport:
     """Polynomial exactness and mass invariants of the quadrature rules."""
     t0 = time.perf_counter()
-    tol = 1e-13
-    max_rel = max_abs = 0.0
-
-    def track(err_scaled, err_abs):
-        nonlocal max_rel, max_abs
-        max_rel = max(max_rel, err_scaled)
-        max_abs = max(max_abs, err_abs)
-
+    errs = []  # (scaled error, absolute error) of each invariant
     for n, alpha in [(2, 0.0), (8, 0.5), (16, 2.3), (24, 1.0)]:
         rule = quadrature.gauss_laguerre(n, alpha)
         for k in range(0, 2 * n, max(1, n // 3)):
             val = float(np.sum(rule.weights * rule.nodes**k))
             ref = gamma_fn(k + alpha + 1.0)
-            track(abs(val - ref) / ref, abs(val - ref) / ref)
-        track(abs(rule.mass - gamma_fn(alpha + 1.0)) / gamma_fn(alpha + 1.0), 0.0)
+            errs.append((abs(val - ref) / ref, abs(val - ref) / ref))
+        errs.append((abs(rule.mass - gamma_fn(alpha + 1.0)) / gamma_fn(alpha + 1.0), 0.0))
     for n in [1, 8, 20]:
         rule = quadrature.gauss_hermite(n)
-        track(abs(rule.mass - math.sqrt(math.pi)) / math.sqrt(math.pi), 0.0)
+        errs.append((abs(rule.mass - math.sqrt(math.pi)) / math.sqrt(math.pi), 0.0))
         if n >= 2:
             val = float(np.sum(rule.weights * rule.nodes**2))
-            track(abs(val - math.sqrt(math.pi) / 2.0) / (math.sqrt(math.pi) / 2.0), 0.0)
+            errs.append((abs(val - math.sqrt(math.pi) / 2.0) / (math.sqrt(math.pi) / 2.0), 0.0))
             odd = float(np.sum(rule.weights * rule.nodes**3))
-            track(abs(odd) / rule.mass, abs(odd) / rule.mass)  # zero target, mass-scaled
+            errs.append((abs(odd) / rule.mass, abs(odd) / rule.mass))  # zero target, mass-scaled
     for beta in [0.0, 1.0, 2.3]:
         rule = quadrature.polar_rule(24, 64, beta)
         ref = math.pi * gamma_fn(beta + 1.0)
-        track(abs(rule.mass - ref) / ref, 0.0)
+        errs.append((abs(rule.mass - ref) / ref, 0.0))
         zpts = rule.complex_points()
         val = complex(np.sum(rule.weights * zpts * np.conjugate(zpts)))
         ref2 = math.pi * gamma_fn(beta + 2.0)
-        track(abs(val - ref2) / ref2, 0.0)
+        errs.append((abs(val - ref2) / ref2, 0.0))
         for freq in [1, 5, 17]:
             val = complex(np.sum(rule.weights * np.exp(1j * freq * np.angle(zpts))))
-            track(abs(val) / ref, abs(val) / ref)
-    return VerificationReport(
-        check_name="quadrature",
-        parameters={},
-        max_abs_err=max_abs,
-        max_rel_err=max_rel,
-        tolerance=tol,
-        passed=max_rel <= tol,
-        runtime_seconds=time.perf_counter() - t0,
-        seed=seed,
-    )
+            errs.append((abs(val) / ref, abs(val) / ref))
+    scaled, absolute = np.array(errs).T
+    return _report("quadrature", t0, seed, {}, {"invariants": ([scaled], 1e-13)}, abs_err=[absolute])
 
 
 def ladder_eigenvalue_comparison(beta: float = 0.0, nmax: int = 4) -> dict:

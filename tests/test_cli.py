@@ -82,6 +82,23 @@ class TestEval:
         code, _ = run(capsys, "--max-terms", "2", "eval", "norm", "--m", "0", "--beta", "0", "--z", "2+0i")
         assert code == 3
 
+    def test_past_float64(self, capsys):
+        # exit 1 with an OverflowError traceback, inf with exit 0, and 0+0i with exit 0 before
+        code, out = run(capsys, "eval", "poly", "--n", "200", "--m", "5", "--beta", "0.5", "--z", "2")
+        assert code == 0
+        assert get_value(out, "P~_{n,m}^beta").real == pytest.approx(-1.2056717317652298e-119, rel=1e-13)
+        code, out = run(capsys, "--max-terms", "20000", "eval", "norm", "--m", "4", "--beta", "0.5", "--z", "30")
+        assert code == 3 and out == ""
+        args = ["eval", "overlap", "--m", "4", "--beta", "0.5", "--z", "20", "--w", "20+0.3i"]
+        code, out = run(capsys, "--max-terms", "20000", *args)
+        assert code == 0
+        assert get_value(out, "overlap") == pytest.approx(0.6079839903663026 + 0.18188367616479442j, rel=1e-12)
+
+    def test_overflow_error_exit_code(self, capsys):
+        # x_{n,m}! past float64 raised OverflowError out of main
+        code, out = run(capsys, "table", "factorials", "--beta", "0", "--nmax", "200", "--mmax", "200")
+        assert code == 3 and out == ""
+
     def test_byte_identical_reruns(self, capsys):
         _, out1 = run(capsys, "eval", "overlap", "--m", "1", "--beta", "0.5", "--z", "0.4+0.2i", "--w", "0.1-0.3i")
         _, out2 = run(capsys, "eval", "overlap", "--m", "1", "--beta", "0.5", "--z", "0.4+0.2i", "--w", "0.1-0.3i")

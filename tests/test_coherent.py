@@ -17,7 +17,7 @@ from cstk.coherent import (
     norm_series,
     overlap_closed,
 )
-from cstk.errors import ConvergenceError
+from cstk.errors import ConvergenceError, NumericError
 from cstk.oracles import closed_bracket, mittag_leffler
 from cstk.poly2d import ModeIndex, p_norm
 from cstk.specfun import SeriesControl, gamma_fn, hyp_pfq, pochhammer
@@ -111,6 +111,13 @@ class TestNormalization:
         with pytest.raises(ConvergenceError):
             norm_series(spec)
 
+    def test_overflow_raises(self):
+        # both returned inf: an infinite total passes a relative stopping test
+        with pytest.raises(NumericError):
+            norm_closed_m0(0.5, 800.0)
+        with pytest.raises(NumericError):
+            norm_series(CoherentSpec(z=30 + 0j, idx_m=4, beta=0.5, truncation=SeriesControl(max_terms=20000)))
+
 
 class TestOverlap:
     @pytest.mark.parametrize("m", range(5))
@@ -148,6 +155,12 @@ class TestOverlap:
         # |z|, |w| in [1.5, 6]: the closed form was 3.3e-8 off here
         for m, beta, z, w, ref in _overlap_cases("overlap_m8_wide"):
             assert abs(overlap_closed(z, w, m, beta) - ref) <= 1e-12
+
+    def test_norms_past_float64_against_mpmath(self):
+        # N_z N_w overflows float64 here, and the quotient rounded from float64 brackets was 0
+        ref = 0.6079839903663026 + 0.18188367616479442j  # 60-digit sum of scripts/coherent_reference.py
+        val = overlap_closed(20 + 0j, 20 + 0.3j, 4, 0.5, SeriesControl(max_terms=20000))
+        assert abs(val - ref) <= 1e-12 * abs(ref)
 
     def test_distant_against_mpmath(self):
         # w ~ -z: the overlap lies far below the norms; the closed form was 6.7e-11
@@ -235,6 +248,12 @@ class TestEtaDensity:
         # |z| = 6: the closed form was 7.4e-7 off here
         for m, beta, zr, zi, ref in REFERENCE["eta"]:
             assert eta_density(complex(zr, zi), m, beta) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("r, beta", [(26.8, 3.5), (27.0, 3.5), (30.0, 0.5)])
+    def test_past_float64_raises(self, r, beta):
+        # the product N t^beta e^{-t} overflowed to inf, or N did and made it nan
+        with pytest.raises(NumericError):
+            eta_density(complex(r), 4, beta, SeriesControl(max_terms=20000))
 
     def test_scalar_input_gives_float(self):
         assert isinstance(eta_density(0.7 + 0.2j, 2, 0.5), float)

@@ -151,6 +151,16 @@ class TestPNorm:
             ref, scale = complex(h * norm), float(norm * max(1, abs(h)))
         assert abs(p_norm(ModeIndex(n, m, beta), z) - ref) <= 1e-15 * scale
 
+    def test_past_float64_gamma(self):
+        # Gamma(beta + n + 1) overflows float64: this raised OverflowError
+        n, m, beta, z = 200, 5, 0.5, 2.0
+        with mp.workdps(40):
+            b = mp.mpf(beta)
+            h = (-1) ** m * mp.mpf(z) ** (n - m) * mp.laguerre(m, n - m + b, z * z)
+            ref = float(h * mp.sqrt(mp.factorial(m) / mp.gamma(b + n + 1)))
+        assert ref == pytest.approx(-1.2056717317652298e-119, rel=1e-15)
+        assert abs(p_norm(ModeIndex(n, m, beta), z) - ref) <= 1e-13 * abs(ref)
+
     def test_generic_measure_with_gamma_moments(self):
         # the generic route (ortho_poly_phi on the Cholesky basis) agrees with the builtin one
         beta = 0.5

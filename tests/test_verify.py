@@ -1,17 +1,47 @@
 import json
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from cstk import verify
+from cstk import coherent, poly2d, transforms, verify
+
+# the named (error, tolerance) pairs of each report, in order
+PAIRS = {
+    "orthogonality-2d": ["diagonal", "off-diagonal"],
+    "assoc-hermite": ["gram", "beta0-hermite"],
+    "kummer-normalization": ["three-way"],
+    "generating-function": ["lauricella"],
+    "kernel-reduction": ["true-polyanalytic"],
+    "overlap": ["closed-form", "diagonal"],
+    "pde-eigen": ["landau-residual"],
+    "transform": ["pointwise-and-gram"],
+    "resolution-identity": ["gram"],
+    "density-positivity": ["negative-part"],
+    "quadrature": ["invariants"],
+}
+
+
+@pytest.fixture(scope="module")
+def all_reports():
+    return verify.run_suite("all") + [verify.check_quadrature()]
 
 
 class TestReports:
-    def test_json_schema(self):
-        rep = verify.check_quadrature()
-        payload = json.loads(rep.to_json())
-        for key in ["check", "params", "max_abs_err", "max_rel_err", "tolerance", "pass", "runtime_seconds", "seed"]:
-            assert key in payload
+    def test_json_schema(self, all_reports):
+        assert [rep.check_name for rep in all_reports] == list(PAIRS)
+        for rep in all_reports:
+            payload = json.loads(rep.to_json())
+            keys = ["check", "params", "max_abs_err", "max_rel_err", "tolerance", "pass", "runtime_seconds", "seed"]
+            assert all(key in payload for key in keys)
+            ratios = rep.details["err_over_tol"]
+            assert list(ratios) == PAIRS[rep.check_name]
+            assert payload["details"]["err_over_tol"] == ratios
+            assert rep.passed == all(v <= 1 for v in ratios.values())
+            first = ratios[PAIRS[rep.check_name][0]]
+            err = rep.max_abs_err if rep.mode == "abs" else rep.max_rel_err
+            assert first == err / rep.tolerance
 
     def test_summary_line(self):
         rep = verify.check_quadrature()
@@ -74,6 +104,69 @@ class TestReducedChecks:
     def test_density(self):
         rep = verify.check_density_positivity(mmax=2, betas=(0.5,), grid_points=16)
         assert rep.passed and rep.details["min_density"] >= 0.0
+
+
+def _nan(*args):
+    return math.nan
+
+
+def _nan_like(z, *args):
+    return np.full(np.shape(z), math.nan)
+
+
+# per check: a reduced run, and the evaluator or oracle it calls, made to return nan
+NAN_CASES = {
+    "kernel-reduction": (lambda: verify.check_kernel_reduction(mmax=2, samples=6), transforms, "kernel_B", _nan),
+    "overlap": (lambda: verify.check_overlap(mmax=1, samples=2, betas=(0.5,)), coherent, "overlap_closed", _nan),
+    "kummer-normalization": (
+        lambda: verify.check_kummer_normalization(betas=(0.5,), ts=[0.0, 2.0]), coherent, "norm_closed_m0", _nan
+    ),
+    "pde-eigen": (
+        lambda: verify.check_pde_eigen(betas=(0.5,), nmax=2, samples=4), poly2d, "landau_apply",
+        lambda beta, expansion, z: _nan_like(z),
+    ),
+    "density-positivity": (
+        lambda: verify.check_density_positivity(mmax=1, betas=(0.5,), grid_points=8), verify, "closed_bracket",
+        _nan_like,
+    ),
+    "orthogonality-2d": (
+        lambda: verify.check_orthogonality_2d(betas=(0.5,), nmax=2, n_r=8, n_theta=16), poly2d, "h_poly",
+        lambda idx, z: _nan_like(z),
+    ),
+    "assoc-hermite": (
+        lambda: verify.check_assoc_hermite(betas=(0.0,), nmax=2), verify, "assoc_hermite",
+        lambda n, x, beta: _nan_like(x),
+    ),
+    "generating-function": (
+        lambda: verify.check_generating_function(betas=(1.2,), cs=(2.2,), xs=(0.3,), samples=2), verify,
+        "lauricella_triple", _nan,
+    ),
+    "transform": (
+        lambda: verify.check_transform(mmax=0, betas=(0.0,), nmax=1), transforms, "apply_transform",
+        lambda f, m, beta, z: _nan_like(z),
+    ),
+    "resolution-identity": (
+        lambda: verify.check_resolution_identity(mmax=0, betas=(0.0,), nmax=1), coherent, "_norm", _nan_like
+    ),
+    "quadrature": (verify.check_quadrature, verify, "gamma_fn", _nan),
+}
+
+
+class TestNanFails:
+    """A nan from the evaluator or oracle under test fails the check:
+    max(0.0, nan) is 0.0, and each check once reduced its errors so."""
+
+    def test_every_check_covered(self):
+        assert set(NAN_CASES) == set(PAIRS)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", list(NAN_CASES))
+    def test_nan_fails(self, monkeypatch, name):
+        check, target, attr, fake = NAN_CASES[name]
+        monkeypatch.setattr(target, attr, fake)
+        rep = check()
+        assert rep.passed is False
+        assert any(math.isnan(v) for v in rep.details["err_over_tol"].values())
 
 
 class TestPeakMemory:

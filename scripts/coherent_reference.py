@@ -8,11 +8,13 @@ Each value is the coefficient series of the paper, summed in mpmath:
     N_m(z)      = sum_n |c_n(z)|^2
     <z|w>_m     = sum_n c_n(w) conj(c_n(z)) / sqrt(N_m(z) N_m(w))
     eta_m(z)    = N_m(z) t^beta e^{-t},  t = z zbar
+    K(z, w)     = sum_n (z wbar)^n / Gamma(beta + n + 1)
 
 with H_{n,m}(z) = (-1)^s z^{n-s} zbar^{m-s} L_s^(|n-m|+beta)(z zbar) and the
 Laguerre polynomial as its finite sum.  The sums stop once the last two terms
 of both diagonal series are below 1e-45 of the running norm; the cross terms
-are bounded by their geometric mean.  At m = 8, |z| = 6 one overlap takes
+are bounded by their geometric mean; the kernel's sum stops past n = |z wbar|
+once two terms are below 1e-45 of it.  At m = 8, |z| = 6 one overlap takes
 about a third of a second, so the values are stored (about 20 s in all).
 
     python scripts/coherent_reference.py
@@ -73,6 +75,22 @@ def eta(z, m, beta):
         return float(nz * t ** mp.mpf(beta) * mp.exp(-t))
 
 
+def kernel_K(z, w, beta):
+    with mp.workdps(DPS):
+        b, t = mp.mpf(beta), mp.mpc(z) * mp.conj(mp.mpc(w))
+        total, term, small, n = mp.mpc(0), 1 / mp.gamma(b + 1), 0, 0
+        while small < 2:
+            total += term
+            small = small + 1 if n > abs(t) and abs(term) <= TAIL * abs(total) else 0
+            n += 1
+            term *= t / (b + n)
+        return complex(total)
+
+
+def _pair(v):
+    return [complex(v).real, complex(v).imag]
+
+
 def _overlap_rows(points):
     rows = []
     for m, beta, z, w in points:
@@ -99,7 +117,11 @@ def main() -> int:
     # distant states w ~ -z: the overlap is far below the norms' geometric mean
     distant = [(m, beta, complex(r * np.exp(0.4j)), complex(-r * np.exp(0.45j)))
                for m in (0, 4, 8) for beta in (0.0, 2.3) for r in (1.5, 2.0, 3.0, 4.5)]
+    # kernel_K where the former Kummer-only route was off: z = w = 6 and 10, then t = z wbar with w = 1
+    kernel = [(0.5, 6, 6), (2.3, 6, 6), (2.3, 10, 10)]
+    kernel += [(beta, t, 1) for beta in (0.0, 1.7) for t in (36, -36, 100, 9j, -9 + 0.1j)]
     data = {
+        "kernel_K": [[beta, *_pair(z), *_pair(w), *_pair(kernel_K(z, w, beta))] for beta, z, w in kernel],
         "eta": [[8, beta, 6.0, 0.0, eta(6.0, 8, beta)] for beta in (0.5, 2.3)],
         "overlap_m8_wide": _overlap_rows(wide),
         "overlap_m8_large_z": _overlap_rows(large_z),

@@ -35,20 +35,18 @@ ENV_CONFIG = "CSTK_CONFIG"
 @dataclass(frozen=True)
 class CliConfig:
     rel_tol: float = 1e-13
-    abs_tol: float = 0.0
     max_terms: int = 500
     seed: int = verify.DEFAULT_SEED
     output_format: str = "json"
 
     def series(self) -> SeriesControl:
-        return SeriesControl(rel_tol=self.rel_tol, abs_tol=self.abs_tol, max_terms=self.max_terms)
+        return SeriesControl(rel_tol=self.rel_tol, max_terms=self.max_terms)
 
 
 def _load_config_file(path: Path) -> dict:
     values: dict = {}
     casts = {
         "rel_tol": float,
-        "abs_tol": float,
         "max_terms": int,
         "seed": int,
         "output_format": str,

@@ -18,15 +18,14 @@ quadrature side.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, NumericError
-from .poly2d import _p_rows, _row_sum
-from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, hyp_pfq
+from .poly2d import _EPS_LD, _p_rows, _row_sum
+from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn
 
 __all__ = [
     "CoherentSpec",
@@ -36,6 +35,8 @@ __all__ = [
     "kernel_K",
     "eta_density",
 ]
+
+_M0_TARGET = 1e-12  # the relative rounding estimate past which kernel_K and norm_closed_m0 raise
 
 
 @dataclass(frozen=True)
@@ -65,24 +66,34 @@ def norm_closed_m0(beta: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) 
 
     Equals e^t 1F1(beta; beta+1; -t) and Gamma(beta+1) E_{1,beta+1}(t); the
     state built with coefficients zbar^n/sqrt((beta+1)_n) has norm S(t)^{1/2}.
-    Raises NumericError where S(t) overflows float64.
+    Raises NumericError where S(t) leaves the float64 range.
     """
-    total = 0.0
-    comp = 0.0
-    term = 1.0
-    prev = math.inf
-    for n in range(ctl.max_terms + 1):
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if n >= 2 and term <= ctl.rel_tol * abs(total) and prev <= ctl.rel_tol * abs(total):
-            if math.isinf(total):  # an infinite total passes the test above trivially
-                raise NumericError(f"norm_closed_m0 overflows float64 at beta={beta}, t={t}")
-            return total
-        prev = term
-        term *= t / (beta + 1.0 + n)
-    raise ConvergenceError(f"norm_closed_m0 not converged in {ctl.max_terms} terms")
+    return _m0_series(t, beta, ctl).real
+
+
+def _m0_series(t, beta: float, ctl: SeriesControl, scale: float = 1.0) -> complex:
+    """S(t) / scale, S(t) = sum_n t^n / (beta+1)_n, in long double: as it stands where
+    Re t >= 0, and where Re t < 0, whose terms alternate, as Kummer's
+    e^t sum_k (beta)_k/(beta+1)_k (-t)^k/k! (DLMF 13.2.39).  Raises NumericError where
+    eps_ld sum |term| exceeds _M0_TARGET of the sum or the value leaves the normal float64 range.
+    """
+    t, b = np.clongdouble(t), np.longdouble(beta)
+    kummer = t.real < 0
+    x = -t if kummer else t
+    term, prev, total, absum = np.clongdouble(1), math.inf, 0, 0
+    for k in range(ctl.max_terms + 1):
+        total, mag = total + term, abs(term)
+        absum += mag
+        if k >= 2 and max(mag, prev) <= ctl.rel_tol * abs(total):
+            break
+        prev = mag
+        term = term * x * (b + k) / ((b + 1 + k) * (k + 1)) if kummer else term * x / (b + 1 + k)
+    else:
+        raise ConvergenceError(f"the m=0 series not converged in {ctl.max_terms} terms at t={complex(t)}")
+    value = (total * np.exp(t) if kummer else total) / np.longdouble(scale)
+    if _EPS_LD * absum > _M0_TARGET * abs(total) or not np.finfo(float).tiny <= abs(value) <= np.finfo(float).max:
+        raise NumericError(f"the m=0 series misses {_M0_TARGET:g} or the float64 range at beta={beta}, t={complex(t)}")
+    return complex(value)
 
 
 def _norm(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
@@ -122,9 +133,9 @@ def overlap_closed(z: complex, w: complex, m: int, beta: float, ctl: SeriesContr
 
 
 def kernel_K(z: complex, w: complex, beta: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
-    """Reproducing kernel K_beta(z, w) = e^{z wbar} 1F1(beta; beta+1; -z wbar) / Gamma(beta+1)."""
-    zw = complex(z) * complex(w).conjugate()
-    return cmath.exp(zw) * hyp_pfq([beta], [beta + 1.0], -zw, ctl) / gamma_fn(beta + 1.0)
+    """Reproducing kernel K_beta(z, w) = sum_n (z wbar)^n / Gamma(beta+n+1) = S(z wbar) / Gamma(beta+1).
+    Raises NumericError where the m=0 series misses _M0_TARGET = 1e-12 or the float64 range."""
+    return _m0_series(complex(z) * complex(w).conjugate(), beta, ctl, gamma_fn(beta + 1.0))
 
 
 def eta_density(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):

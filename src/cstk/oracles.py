@@ -12,18 +12,17 @@ import numpy as np
 
 from .errors import ConvergenceError, PoleError
 from .specfun import (
-    _TINY,
     DEFAULT_CONTROL,
     SeriesControl,
     _is_nonpositive_integer,
     gamma_fn,
-    hyp_pfq,
     laguerre,
     pochhammer,
     rgamma,
 )
 
 __all__ = [
+    "hyp_pfq",
     "hermite",
     "assoc_hermite",
     "mittag_leffler",
@@ -33,6 +32,57 @@ __all__ = [
     "closed_bracket",
     "ito_hermite",
 ]
+
+_TINY = 1e-300
+
+
+def hyp_pfq(numer, denom, t, ctl: SeriesControl = DEFAULT_CONTROL):
+    """Generalized hypergeometric pFq for p, q <= 2 (covers 1F1 and 2F2).
+
+    Long-double summation of sum_k prod(a_i)_k / prod(b_i)_k * t^k / k!.
+    ``t`` and each parameter may be a scalar or an ndarray; they broadcast
+    against each other, so one call sums a whole grid of parameter sets as a
+    single series that runs until every element meets the tail test a scalar
+    call would apply to it.  Elements that meet it early keep adding terms, so
+    an element's value can differ from its scalar call below that tail test.
+    No denominator entry may be a non-positive integer.  The result is
+    complex, or complex long double when ``t`` is long double.
+    """
+    if len(numer) > 2 or len(denom) > 2:
+        raise ValueError("hyp_pfq supports at most 2 numerator and 2 denominator parameters")
+    for b in map(np.asarray, denom):
+        poles = (b <= 0.0) & (b == np.floor(b))
+        if np.any(poles):
+            raise PoleError(f"hyp_pfq denominator parameter {b[poles].flat[0]} is a non-positive integer")
+    # each parameter is cast once: a float64 (a + k) or 1/(k + 1) would round every term ratio
+    numer = [np.asarray(a, dtype=np.clongdouble if np.iscomplexobj(a) else np.longdouble) for a in numer]
+    denom = [np.asarray(b, dtype=np.clongdouble if np.iscomplexobj(b) else np.longdouble) for b in denom]
+    # extended-precision accumulation: alternating arguments (Kummer-type
+    # identities at t ~ -10) cancel through partial sums ~e^{|t|} above the
+    # limit, which 64-bit terms cannot certify at 1e-11
+    t_in = np.asarray(t)
+    tq = np.asarray(t_in, dtype=np.clongdouble)
+    total = np.zeros_like(tq)
+    term = np.ones_like(tq)
+    prev_mag = math.inf
+    for k in range(ctl.max_terms + 1):
+        total = total + term
+        term_mag = np.abs(term).astype(float)
+        # the tail test of a scalar call, element by element
+        bound = np.maximum(ctl.rel_tol * np.abs(total).astype(float), _TINY)
+        if k >= 2 and np.all((term_mag <= bound) & (prev_mag <= bound)):
+            break
+        prev_mag = term_mag
+        ratio = 1 / np.longdouble(k + 1)
+        for a in numer:
+            ratio = ratio * (a + k)
+        for b in denom:
+            ratio = ratio / (b + k)
+        term = term * ratio * tq
+    else:
+        raise ConvergenceError(f"hyp_pfq not converged in {ctl.max_terms} terms")
+    out = total.astype(np.result_type(t_in, complex))
+    return out if out.ndim else out[()]
 
 
 def hermite(n: int, x):
@@ -58,11 +108,6 @@ def assoc_hermite(n: int, x, beta: float):
     return h if h.ndim else h[()]
 
 
-def _tail_done(term_mag: float, prev_mag: float, total_mag: float, ctl: SeriesControl) -> bool:
-    bound = max(ctl.rel_tol * total_mag, ctl.abs_tol, _TINY)
-    return term_mag <= bound and prev_mag <= bound
-
-
 def mittag_leffler(alpha: float, gamma_par: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,gamma}(t) = sum t^n / Gamma(alpha n + gamma)."""
     if alpha <= 0 or gamma_par <= 0:
@@ -77,7 +122,7 @@ def mittag_leffler(alpha: float, gamma_par: float, t: float, ctl: SeriesControl 
         s = total + y
         comp = (s - total) - y
         total = s
-        if n >= 2 and _tail_done(abs(term), prev_mag, abs(total), ctl):
+        if n >= 2 and max(abs(term), prev_mag) <= max(ctl.rel_tol * abs(total), _TINY):
             return total
         prev_mag = abs(term)
         tn *= t
@@ -140,7 +185,7 @@ def lauricella_triple(
                 t = total + y
                 comp = (t - total) - y
                 total = t
-        if d >= 2 and shell_mag + prev_shell <= max(ctl.rel_tol * abs(total), ctl.abs_tol, _TINY):
+        if d >= 2 and shell_mag + prev_shell <= max(ctl.rel_tol * abs(total), _TINY):
             return total
         prev_shell = shell_mag
     raise ConvergenceError(f"lauricella_triple not converged within weight {ctl.max_terms}")

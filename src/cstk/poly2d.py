@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericError
 from .measures import GammaMeasure, MomentMeasure, gen_factorial, ortho_poly_phi, zeta
 from .specfun import SeriesControl, _laguerre_rows, gamma_fn, laguerre
 
@@ -86,16 +86,19 @@ def h_poly(idx: ModeIndex, z):
 
     Satisfies h_poly(n, m, z) == conj(h_poly(m, n, z)); for z = 0 with n != m
     the value is the (vanishing) expansion limit.  ``z`` may be an ndarray.
+    Raises NumericError where the value is not finite in float64.
     """
     n, m, beta = idx.n, idx.m, idx.beta
     z = np.asarray(z, dtype=complex)
     s = min(n, m)
-    mono = z ** (n - s) * np.conjugate(z) ** (m - s)
     # long double: the float64 Laguerre recurrence is off by up to 1.4e-13 of
     # max(1, |L|); u = |z|^2 and alpha = |n-m| + beta are formed in it too
     x, y = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
     alpha = np.longdouble(abs(n - m)) + np.longdouble(beta)
-    val = (-1.0) ** s * mono * laguerre(s, alpha, x * x + y * y).astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        val = (-1.0) ** s * z ** (n - s) * np.conjugate(z) ** (m - s) * laguerre(s, alpha, x * x + y * y).astype(float)
+    if not np.all(np.isfinite(val)):
+        raise NumericError(f"h_poly leaves the float64 range at {idx}")
     return val if val.ndim else val[()]
 
 
@@ -142,6 +145,7 @@ def p_norm(idx: ModeIndex, z, measure: MomentMeasure | None = None):
     the builtin measure reduces to h_poly / sqrt(Gamma(beta+m+1) x_{n,m}!)
     = h_poly sqrt(min(n,m)! / Gamma(beta+max(n,m)+1)), evaluated so, with the
     root taken from math.lgamma where Gamma(beta+max(n,m)+1) overflows float64.
+    Raises NumericError where the value is not finite in float64.
     """
     if measure is None:
         measure = GammaMeasure(beta=idx.beta)
@@ -156,10 +160,12 @@ def p_norm(idx: ModeIndex, z, measure: MomentMeasure | None = None):
             scale = math.exp(0.5 * (math.lgamma(s + 1.0) - math.lgamma(beta + max(n, m) + 1.0)))
         return h_poly(idx, z) * scale
     z = np.asarray(z, dtype=complex)
-    mono = z ** (n - s) * np.conjugate(z) ** (m - s)
     phi = ortho_poly_phi(measure, s, abs(n - m) + beta, (z * np.conjugate(z)).real)
     norm = math.sqrt(zeta(measure, 0, m + beta) * gen_factorial(measure, n, m))
-    val = mono * phi / norm
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        val = z ** (n - s) * np.conjugate(z) ** (m - s) * phi / norm
+    if not np.all(np.isfinite(val)):
+        raise NumericError(f"p_norm leaves the float64 range at {idx}")
     return val if val.ndim else val[()]
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coherent, measures, poly2d, quadrature, transforms
-from .oracles import assoc_hermite, closed_bracket, kernel_B_true_poly, lauricella_triple, mittag_leffler
-from .specfun import gamma_fn, hyp_pfq, pochhammer
+from .oracles import assoc_hermite, closed_bracket, hyp_pfq, kernel_B_true_poly, lauricella_triple, mittag_leffler
+from .specfun import gamma_fn, pochhammer
 
 __all__ = [
     "VerificationReport",

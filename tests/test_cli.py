@@ -87,6 +87,9 @@ class TestEval:
         code, out = run(capsys, "eval", "poly", "--n", "200", "--m", "5", "--beta", "0.5", "--z", "2")
         assert code == 0
         assert get_value(out, "P~_{n,m}^beta").real == pytest.approx(-1.2056717317652298e-119, rel=1e-13)
+        # -inf and nan with exit 0 before: the monomial and the Laguerre factor overflow
+        code, out = run(capsys, "eval", "poly", "--n", "1000", "--m", "5", "--beta", "0.5", "--z", "2")
+        assert code == 3 and out == ""
         code, out = run(capsys, "--max-terms", "20000", "eval", "norm", "--m", "4", "--beta", "0.5", "--z", "30")
         assert code == 3 and out == ""
         args = ["eval", "overlap", "--m", "4", "--beta", "0.5", "--z", "20", "--w", "20+0.3i"]
@@ -268,6 +271,13 @@ class TestConfig:
         cfg = tmp_path / "cstk.cfg"
         cfg.write_text("n_r = 8\n")
         code, _ = run(capsys, "--config", str(cfg), "eval", "poly")
+        assert code == 2
+
+    def test_abs_tol_is_gone(self, capsys, tmp_path):
+        # abs_tol was parsed but read by no evaluator
+        cfg = tmp_path / "cstk.cfg"
+        cfg.write_text("abs_tol = 0.5\n")
+        code, _ = run(capsys, "--config", str(cfg), "eval", "norm", "--z", "1")
         assert code == 2
 
 

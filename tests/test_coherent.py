@@ -18,9 +18,9 @@ from cstk.coherent import (
     overlap_closed,
 )
 from cstk.errors import ConvergenceError, NumericError
-from cstk.oracles import closed_bracket, mittag_leffler
+from cstk.oracles import closed_bracket, hyp_pfq, mittag_leffler
 from cstk.poly2d import ModeIndex, p_norm
-from cstk.specfun import SeriesControl, gamma_fn, hyp_pfq, pochhammer
+from cstk.specfun import SeriesControl, gamma_fn, pochhammer
 
 disk = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 # mpmath sums of the coefficient series, written by scripts/coherent_reference.py
@@ -116,6 +116,8 @@ class TestNormalization:
         with pytest.raises(NumericError):
             norm_closed_m0(0.5, 800.0)
         with pytest.raises(NumericError):
+            norm_closed_m0(0.5, 800.0, SeriesControl(max_terms=20000))
+        with pytest.raises(NumericError):
             norm_series(CoherentSpec(z=30 + 0j, idx_m=4, beta=0.5, truncation=SeriesControl(max_terms=20000)))
 
 
@@ -204,6 +206,17 @@ class TestKernel:
         zw = z * np.conjugate(w)
         direct = sum(zw**n / (pochhammer(beta + 1.0, n) * gamma_fn(beta + 1.0)) for n in range(80))
         assert kernel_K(z, w, beta) == pytest.approx(direct, rel=1e-12)
+
+    def test_against_mpmath(self):
+        # the Kummer-only route was 1.2e-3 off at z = w = 6, beta = 2.3, and 2.8e25 off at z = w = 10
+        for beta, zr, zi, wr, wi, kr, ki in REFERENCE["kernel_K"]:
+            ref = complex(kr, ki)
+            assert abs(kernel_K(complex(zr, zi), complex(wr, wi), beta) - ref) <= 1e-12 * abs(ref)
+
+    def test_cancellation_raises(self):
+        # z wbar = 32i: |term| sums to 8e13 times the value; the Kummer route was 9e-8 off with no error
+        with pytest.raises(NumericError):
+            kernel_K(4 + 4j, 4 - 4j, 0.5)
 
     @pytest.mark.parametrize("beta", [0.0, 1.2])
     def test_positive_semidefinite(self, beta):

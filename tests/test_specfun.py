@@ -274,7 +274,9 @@ class TestSeriesControl:
         ctl = SeriesControl()
         assert ctl.rel_tol == 1e-13 and ctl.max_terms == 500
 
-    @pytest.mark.parametrize("kwargs", [{"rel_tol": 0.0}, {"max_terms": 0}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"rel_tol": 0.0}, {"rel_tol": -1.0}, {"max_terms": 0}]
+    )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SeriesControl(**kwargs)

@@ -286,8 +286,12 @@ def apply_transform(
     adaptive_line on omega_weight).  The quadrature sum of f against the
     kernel is reassociated: projections d_n = sum_i w_i phi_n(x_i) f(x_i),
     then sum_n d_n P~_{n,m}(z) at all targets, row by row, until at every
-    target two successive rows bound below ctl.rel_tol of their peak (the
-    bound ||phi_n|| |P~_{n,m}(z)| of |d_n P~_{n,m}(z)| / ||f||, rule norm).
+    target two successive n > m have min(||f||, ||rest_{n-1}||) ||phi_n||
+    |P~_{n,m}| <= ctl.rel_tol ||f|| peak, peak the largest ||phi_k|| |P~_{k,m}|
+    so far (rule norms; rest_{n-1} = f - sum_{k<n} d_k phi_k on the nodes, over
+    max|f|: scale-free).  This is Cauchy-Schwarz, |d_n| <= ||rest_{n-1}|| ||phi_n||,
+    where the rule keeps phi_n orthogonal to the phi_k already projected; the
+    min never takes more rows than the f-free bound ||f|| ||phi_n||.
     """
     _require_beta(beta)
     if abs(f.beta - beta) > 1e-12:
@@ -305,6 +309,9 @@ def apply_transform(
         x = np.asarray(rule.nodes, dtype=float)
         fv = f.sample(x)
         f_parts = np.array([fv.real, fv.imag])
+        scale = np.max(np.abs(fv)) or 1.0
+        rest = f_parts / scale  # the part of f not yet projected, over max|f|
+        f_norm = rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, rule.weights))
         peak = np.zeros(len(zs))
         small = 0
         for n, row, phi in zip(range(ctl.max_terms + 1), _p_rows(m, beta, zs), _phi_rows(beta, x)):
@@ -314,9 +321,12 @@ def apply_transform(
             out += complex(d_re, d_im) * row
             bound = math.sqrt(abs(np.einsum("i,i->", wphi, phi))) * np.abs(row)
             peak = np.maximum(peak, bound)
-            small = small + 1 if n > m and np.all(bound <= ctl.rel_tol * peak) else 0
+            shrink = min(1.0, rest_norm / f_norm) if f_norm > 0 else 0.0  # ||rest_{n-1}|| / ||f||, at most 1
+            small = small + 1 if n > m and np.all(shrink * bound <= ctl.rel_tol * peak) else 0
             if small == 2:
                 break
+            rest -= np.array([[d_re], [d_im]]) / scale * phi
+            rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, rule.weights))
         else:
             raise ConvergenceError(f"transform series not converged in {ctl.max_terms} terms")
     out /= math.sqrt(gamma_fn(beta + 1.0))

@@ -331,6 +331,13 @@ class TestApplyTransform:
         f = SampledFunction(kind="coeffs", beta=0.0, coeffs=np.array([0.0, 0.0]))
         vals = apply_transform(f, 1, 0.0, [0.4 + 0.1j], rules[0.0])
         assert vals[0] == 0.0
+        grid = np.linspace(-3.0, 3.0, 61)
+        f = SampledFunction(kind="grid", beta=1.0, x=grid, values=np.zeros(61))
+        for m in (0, 4, 8):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no 0/0 in the norms of the rest
+                vals = apply_transform(f, m, 1.0, [0.0, 0.4 + 0.1j, -2.0 + 1.0j], rules[1.0])
+            assert vals == [0.0, 0.0, 0.0]
 
     def test_batch_matches_scalar_kernel_sum(self, rules):
         beta, m = 1.0, 2
@@ -371,6 +378,118 @@ class TestApplyTransform:
         b = apply_transform(f_co, m, beta, targets)
         for va, vb in zip(a, b):
             assert abs(va - vb) <= 1e-12 * max(abs(vb), 1.0)
+
+    @staticmethod
+    def _count_rows(monkeypatch):
+        """Replace transforms._p_rows by a wrapper; returns the list of rows taken per call."""
+        calls, p_rows = [], transforms_module._p_rows
+
+        def counting(*args):
+            calls.append(0)
+            for row in p_rows(*args):
+                calls[-1] += 1
+                yield row
+
+        monkeypatch.setattr(transforms_module, "_p_rows", counting)
+        return calls
+
+    SMOOTH_GRID = np.linspace(-12.0, 12.0, 2401)
+    SMOOTH_INPUTS = {
+        "gauss": np.exp(-SMOOTH_GRID**2 / 2) * (1 + 0.3j * SMOOTH_GRID),
+        "sech": 1 / np.cosh(SMOOTH_GRID),
+    }
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.3])
+    @pytest.mark.parametrize("m", [0, 4, 8])
+    def test_grid_basis_input_stops_once_projected(self, rules, beta, m, monkeypatch):
+        # the f-free stop took 58-79 rows here; once phi_n is projected the rest
+        # of f is rounding, and two rows past max(m, n) end the sum
+        calls = self._count_rows(monkeypatch)
+        grid = np.linspace(-9.0, 9.0, 1601)
+        for n in range(4):
+            f = SampledFunction(kind="grid", beta=beta, x=grid, values=basis_phi(n, grid, beta))
+            apply_transform(f, m, beta, [0.0, 0.5 + 0.5j, 1.2 - 0.3j, -3.0j], rules[beta])
+            assert calls[-1] <= max(m, n) + 3, (n, calls[-1])
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.3])
+    @pytest.mark.parametrize("m", [0, 4, 8])
+    def test_grid_stop_is_scale_free(self, rules, beta, m, monkeypatch):
+        # powers of two next to 1e200 and 1e-300: the scaled samples, spline and
+        # projections are then exact scalings (decimal scales round the samples,
+        # which alone moves the values by up to 1.6e-15), so only the stop can differ
+        calls = self._count_rows(monkeypatch)
+        targets = [0.0, 0.9 + 0.4j, -0.6 + 1.1j, 1.5j, -1.2 - 0.7j]
+        values = self.SMOOTH_INPUTS["gauss"]
+        f = SampledFunction(kind="grid", beta=beta, x=self.SMOOTH_GRID, values=values)
+        ref = np.array(apply_transform(f, m, beta, targets, rules[beta]))
+        for scale in (math.ldexp(1.0, 664), math.ldexp(1.0, -997)):
+            f = SampledFunction(kind="grid", beta=beta, x=self.SMOOTH_GRID, values=scale * values)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals = np.array(apply_transform(f, m, beta, targets, rules[beta]))
+            assert calls[-1] == calls[0], (scale, calls)
+            assert np.all(np.abs(vals - scale * ref) <= 1e-15 * np.abs(scale * ref)), scale
+
+    @staticmethod
+    def _f_free_transform(f, m, beta, targets, rule):
+        """The grid projection stopped by the f-free bound ||f|| ||phi_n|| |P~_{n,m}(z)|
+        alone: (values, rows taken)."""
+        x = np.asarray(rule.nodes, dtype=float)
+        fv = f.sample(x)
+        f_parts = np.array([fv.real, fv.imag])
+        out, peak, small = np.zeros(len(targets), complex), np.zeros(len(targets)), 0
+        p_rows = transforms_module._p_rows(m, beta, np.asarray(targets, complex))
+        for n, (row, phi) in enumerate(zip(p_rows, transforms_module._phi_rows(beta, x))):
+            wphi = rule.weights * phi
+            d_re, d_im = np.einsum("ij,j->i", f_parts, wphi)
+            out += complex(d_re, d_im) * row
+            bound = math.sqrt(abs(np.einsum("i,i->", wphi, phi))) * np.abs(row)
+            peak = np.maximum(peak, bound)
+            small = small + 1 if n > m and np.all(bound <= 1e-13 * peak) else 0  # the default rel_tol
+            if small == 2:
+                return (out / math.sqrt(gamma_fn(beta + 1.0))).tolist(), n + 1
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.3])
+    @pytest.mark.parametrize("m", [0, 4, 8])
+    def test_grid_stop_never_takes_more_rows(self, rules, beta, m, monkeypatch):
+        # the rest-based test fires no later than the f-free one, and seeded
+        # noise, whose rest does not shrink, gets the f-free rows and values;
+        # on 15 nodes the phi_n alias past degree 14 and the rest of the noise
+        # grows to about twice ||f||
+        calls = self._count_rows(monkeypatch)
+        targets = [0.0, 0.9 + 0.4j, -1.5j, 2.0 - 2.0j, 3.0]
+        coarse = np.linspace(-5.0, 5.0, 15)
+        coarse_rule = QuadratureRule("truncated_line", coarse, omega_weight(coarse, beta) * (coarse[1] - coarse[0]))
+        noise = np.array([1.0, 1j]) @ np.random.default_rng(19).normal(size=(2, len(self.SMOOTH_GRID)))
+        inputs = {**self.SMOOTH_INPUTS, "noise": noise, "step": (np.abs(self.SMOOTH_GRID) < 1.0) + 0.0}
+        for rule, (name, values) in itertools.product((rules[beta], coarse_rule), inputs.items()):
+            f = SampledFunction(kind="grid", beta=beta, x=self.SMOOTH_GRID, values=values)
+            vals = apply_transform(f, m, beta, targets, rule)
+            ref, ref_rows = self._f_free_transform(f, m, beta, targets, rule)
+            assert calls[-1] <= ref_rows, (name, len(rule.nodes), calls[-1], ref_rows)
+            if name == "noise":
+                assert calls[-1] == ref_rows and vals == ref, len(rule.nodes)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.3])
+    @pytest.mark.parametrize("m", [0, 4, 8])
+    @pytest.mark.parametrize("name", sorted(SMOOTH_INPUTS))
+    def test_smooth_grid_input_against_kernel_quadrature(self, rules, beta, m, name):
+        # inputs that no spline reproduces, so the stop rests on the decay of
+        # the unprojected rest; the reference is the rule quadrature of the kernel
+        rule = rules[beta]
+        f = SampledFunction(kind="grid", beta=beta, x=self.SMOOTH_GRID, values=self.SMOOTH_INPUTS[name])
+        targets = np.array([0.0, 0.9 + 0.4j, -0.6 + 1.1j, 1.5j, -1.2 - 0.7j])
+        vals = np.array(apply_transform(f, m, beta, targets, rule))
+        fv = f.sample(rule.nodes)
+        gamma = gamma_fn(beta + 1.0)
+        refs = np.array([np.sum(rule.weights * fv * kernel_B(m, beta, np.conj(z), rule.nodes)) for z in targets])
+        refs /= math.sqrt(gamma)
+        # ||f|| (sum_n |P~_{n,m}(z)|^2)^{1/2} / sqrt(Gamma(beta+1)); the rows carry sqrt(Gamma(beta+1))
+        rows = np.array(list(itertools.islice(transforms_module._p_rows(m, beta, targets), 120)))
+        scale = math.sqrt(np.sum(rule.weights * np.abs(fv) ** 2)) * np.sqrt(np.sum(np.abs(rows) ** 2, axis=0)) / gamma
+        err = np.abs(vals - refs)
+        assert np.all(err <= 1e-11 * np.abs(refs)), err / np.abs(refs)
+        assert np.all(err <= 1e-13 * scale), err / scale
 
     # bound on |value - sum_n a_n p_norm_n| / (||a|| (sum_n |p_norm_n|^2)^{1/2}) by
     # |z|: the rows are complex128, and their Laguerre recurrence loses digits with |z|

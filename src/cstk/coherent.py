@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericError
 from .poly2d import _EPS_LD, _p_rows, _row_sum
-from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn
+from .specfun import DEFAULT_CONTROL, SeriesControl, _require_beta, gamma_fn
 
 __all__ = [
     "CoherentSpec",
@@ -51,8 +51,7 @@ class CoherentSpec:
     def __post_init__(self):
         if self.idx_m < 0:
             raise ValueError("idx_m must be non-negative")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+        _require_beta(self.beta)
 
 
 def norm_series(spec: CoherentSpec) -> float:
@@ -68,6 +67,7 @@ def norm_closed_m0(beta: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) 
     state built with coefficients zbar^n/sqrt((beta+1)_n) has norm S(t)^{1/2}.
     Raises NumericError where S(t) leaves the float64 range.
     """
+    _require_beta(beta)
     return _m0_series(t, beta, ctl).real
 
 
@@ -127,6 +127,7 @@ def overlap_closed(z: complex, w: complex, m: int, beta: float, ctl: SeriesContr
     where N_z N_w overflows float64.  The diagonal overlap is exactly 1 by
     construction of the normalization.
     """
+    _require_beta(beta)
     rows = _p_rows(m, beta, np.array([z, w], dtype=np.clongdouble))  # one generator for both states
     cross, nz, nw = _bracket_sum((r[[0, 0, 1]] * np.conj(r[[1, 0, 1]]) for r in rows), m, beta, ctl)
     return complex(cross / np.sqrt(nz.real * nw.real))
@@ -135,6 +136,7 @@ def overlap_closed(z: complex, w: complex, m: int, beta: float, ctl: SeriesContr
 def kernel_K(z: complex, w: complex, beta: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
     """Reproducing kernel K_beta(z, w) = sum_n (z wbar)^n / Gamma(beta+n+1) = S(z wbar) / Gamma(beta+1).
     Raises NumericError where the m=0 series misses _M0_TARGET = 1e-12 or the float64 range."""
+    _require_beta(beta)
     return _m0_series(complex(z) * complex(w).conjugate(), beta, ctl, gamma_fn(beta + 1.0))
 
 
@@ -148,6 +150,7 @@ def eta_density(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     Raises NumericError where N or the product overflows float64, or where
     e^{-z zbar} falls below the normal float64 range and loses digits.
     """
+    _require_beta(beta)
     z = np.asarray(z, dtype=complex)
     t = (z * z.conj()).real
     decay = np.exp(-t)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericError
 from .measures import GammaMeasure, MomentMeasure, gen_factorial, ortho_poly_phi, zeta
-from .specfun import SeriesControl, _laguerre_rows, gamma_fn, laguerre
+from .specfun import SeriesControl, _laguerre_rows, _require_beta, gamma_fn, laguerre
 
 __all__ = [
     "ModeIndex",
@@ -45,8 +45,7 @@ class ModeIndex:
     def __post_init__(self):
         if self.n < 0 or self.m < 0:
             raise ValueError("mode indices must be non-negative")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+        _require_beta(self.beta)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,12 @@ class SeriesControl:
 DEFAULT_CONTROL = SeriesControl()
 
 
+def _require_beta(beta: float) -> None:
+    """The one domain check of the measure parameter: beta >= 0 and finite."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError("beta must be non-negative")
+
+
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and float(x) == math.floor(x)
 

@@ -35,7 +35,7 @@ from .errors import ConvergenceError
 from .formats import parse_complex
 from .poly2d import _p_rows, _row_sum
 from .quadrature import QuadratureRule
-from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, rgamma
+from .specfun import DEFAULT_CONTROL, SeriesControl, _require_beta, gamma_fn, rgamma
 
 __all__ = [
     "SampledFunction",
@@ -78,9 +78,7 @@ class SampledFunction:
             x = np.asarray(x, dtype=float)
             return sum((a * phi for a, phi in zip(self.coeffs, _phi_rows(self.beta, x))), np.zeros(len(x), complex))
         from scipy.interpolate import CubicSpline  # grid input only: scipy stays off the import path
-        out = CubicSpline(self.x, np.real(self.values))(x).astype(complex)
-        if np.iscomplexobj(self.values):
-            out += 1j * CubicSpline(self.x, np.imag(self.values))(x)
+        out = CubicSpline(self.x, self.values)(x).astype(complex)
         out[(x < self.x[0]) | (x > self.x[-1])] = 0.0  # zero outside the grid
         return out
 
@@ -127,11 +125,6 @@ def load_sampled(path) -> SampledFunction:
 
 _KUMMER_BLOCK = 32  # series terms per cumprod step
 _KUMMER_RESCALE = 256  # binary exponent above which the sums are divided by a power of two
-
-
-def _require_beta(beta: float) -> None:
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError("beta must be non-negative")
 
 
 def _kummer_pair(beta: float, y: np.ndarray):
@@ -255,6 +248,8 @@ def kernel_B(
     """
     _require_beta(beta)
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.longdouble))
+    if not np.all(np.isfinite(x_arr)):
+        raise ValueError("x must be finite")
     rows = _p_rows(m, beta, np.clongdouble(complex(z).conjugate()))
     terms = (row * phi for row, phi in zip(rows, _phi_rows(beta, x_arr)))
     total, est = _row_sum(terms, m, ctl, "kernel_B series")

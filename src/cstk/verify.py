@@ -420,6 +420,13 @@ def check_quadrature(seed: int = DEFAULT_SEED) -> VerificationReport:
         for freq in [1, 5, 17]:
             val = complex(np.sum(rule.weights * np.exp(1j * freq * np.angle(zpts))))
             errs.append((abs(val) / ref, abs(val) / ref))
+    rule = quadrature.adaptive_line(lambda x: np.exp(-(x**2)), 1e-11, 16)
+    for k in range(17):
+        val = float(np.sum(rule.weights * rule.nodes ** (2 * k)))
+        ref = math.gamma(k + 0.5)
+        errs.append((abs(val - ref) / ref, abs(val - ref) / ref))
+    odd = float(np.sum(rule.weights * rule.nodes**3))
+    errs.append((abs(odd) / rule.mass, abs(odd) / rule.mass))
     scaled, absolute = np.array(errs).T
     return _report("quadrature", t0, seed, {}, {"invariants": ([scaled], 1e-13)}, abs_err=[absolute])
 

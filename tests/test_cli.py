@@ -78,6 +78,25 @@ class TestEval:
             code, out = run(capsys, "eval", "kernel", "--m", "2", "--beta", "-0.5", "--z", "0.3+0.1i", "--x", "0.2")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # printed 0.84927179591704516+0i with exit 0 before
+            ("overlap", "--m", "0", "--beta", "-0.5", "--z", "1", "--w", "0.5"),
+            # warned from the P~ rows and exited 3 before
+            ("overlap", "--m", "2", "--beta", "-1.5", "--z", "1", "--w", "0.5"),
+            # these three exited 3, after 500 terms or on "leaves the float64 range"
+            ("overlap", "--m", "0", "--beta", "nan", "--z", "1", "--w", "0.5"),
+            ("kernel", "--m", "1", "--beta", "0.5", "--z", "1", "--x", "nan"),
+            ("poly", "--n", "2", "--m", "1", "--beta", "nan", "--z", "1"),
+        ],
+    )
+    def test_rejects_out_of_domain_input(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "eval", *argv)
+        assert code == 2 and out == ""
+
     def test_numeric_failure_exit_code(self, capsys):
         code, _ = run(capsys, "--max-terms", "2", "eval", "norm", "--m", "0", "--beta", "0", "--z", "2+0i")
         assert code == 3

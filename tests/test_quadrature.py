@@ -4,10 +4,22 @@ import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
+import cstk.quadrature
+from cstk import verify
 from cstk.errors import ConvergenceError
 from cstk.quadrature import QuadratureRule, adaptive_line, gauss_hermite, gauss_laguerre, polar_rule
 from cstk.specfun import gamma_fn
-from cstk.transforms import omega_weight
+from cstk.transforms import basis_phi, omega_weight
+
+# (beta, m) of the line rules that cstk transform builds for perfbench's transform workload
+WORKLOAD_CASES = ((0.0, 5), (0.5, 8), (1.0, 4), (2.3, 0))
+
+
+@pytest.fixture(scope="module")
+def workload_rules():
+    return {
+        (beta, m): adaptive_line(lambda x, b=beta: omega_weight(x, b), 1e-11, m + 8) for beta, m in WORKLOAD_CASES
+    }
 
 
 class TestGaussLaguerre:
@@ -120,6 +132,38 @@ class TestAdaptiveLine:
         rule = adaptive_line(lambda x: np.exp(-(x**2)), 1e-10, 4)
         val = rule.integrate(lambda x: x * x)
         assert complex(val).real == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("degree", [4, 8, 16])
+    def test_even_moments_exact(self, degree):
+        rule = adaptive_line(lambda x: np.exp(-(x**2)), 1e-11, degree)
+        for k in range(degree + 1):
+            val = float(np.sum(rule.weights * rule.nodes ** (2 * k)))
+            assert val == pytest.approx(math.gamma(k + 0.5), rel=1e-15, abs=0.0)
+        assert abs(float(np.sum(rule.weights * rule.nodes**3))) <= 1e-16 * rule.mass
+
+    def test_workload_rules_are_small(self, workload_rules, monkeypatch):
+        assert all(len(rule.nodes) <= 513 for rule in workload_rules.values())
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(adaptive_line(*args, **kwargs))
+            return built[-1]
+
+        # the assoc-hermite check builds one rule per beta
+        monkeypatch.setattr(cstk.quadrature, "adaptive_line", recording)
+        assert verify.check_assoc_hermite().passed
+        assert len(built) == 3 and all(len(rule.nodes) <= 257 for rule in built)
+
+    @pytest.mark.parametrize("beta,m", WORKLOAD_CASES)
+    def test_workload_rules_keep_phi_orthonormal(self, workload_rules, beta, m):
+        # the grid projection of apply_transform stops on the unprojected rest,
+        # which holds only while the rule keeps phi_n orthogonal to the phi_k already projected
+        rule = workload_rules[(beta, m)]
+        phi = np.array([basis_phi(n, rule.nodes, beta) for n in range(81)])
+        dev = np.abs((phi * rule.weights) @ phi.T - np.eye(81))
+        assert np.max(dev[:7, :]) <= 5e-14  # degrees <= 6 into degrees <= 80
+        top = 2 * (m + 8) + 1
+        assert np.max(dev[:top, :top]) <= 5e-13
 
 
 def test_rule_is_frozen():

@@ -9,6 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from cstk.coherent import CoherentSpec, eta_density, kernel_K, norm_closed_m0, overlap_closed
 from cstk.measures import GammaMeasure
 from cstk.poly2d import ModeIndex, p_norm
 from cstk.quadrature import QuadratureRule, adaptive_line
@@ -138,13 +139,20 @@ class TestOmegaWeight:
 
 @pytest.mark.parametrize("beta", [-1.5, -0.5, math.nan, math.inf])
 def test_real_line_rejects_invalid_beta(beta):
-    # omega_weight returned -0.0142365 at beta = -1.5, x = 1; kernel_B took sqrt of a negative number
+    # omega_weight returned -0.0142365 at beta = -1.5, x = 1; kernel_B took sqrt of a negative number;
+    # overlap_closed returned a value at beta = -0.5, and ModeIndex and CoherentSpec let nan and inf through
     rule = QuadratureRule("truncated_line", np.array([0.0]), np.array([1.0]))
     calls = [
         lambda: omega_weight(1.0, beta),
         lambda: basis_phi(2, 0.3, beta),
         lambda: kernel_B(1, beta, 0.5 + 0.1j, 0.3),
         lambda: apply_transform(SampledFunction(kind="coeffs", beta=beta, coeffs=np.ones(2)), 1, beta, [0.5], rule),
+        lambda: overlap_closed(1.0, 0.5, 0, beta),
+        lambda: kernel_K(1.0, 0.5, beta),
+        lambda: eta_density(0.5, 2, beta),
+        lambda: norm_closed_m0(beta, 1.0),
+        lambda: ModeIndex(2, 1, beta),
+        lambda: CoherentSpec(z=1.0, idx_m=1, beta=beta),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="beta must be non-negative"):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericError
 from .poly2d import _EPS_LD, _p_rows, _row_sum
-from .specfun import DEFAULT_CONTROL, SeriesControl, _require_beta, gamma_fn
+from .specfun import DEFAULT_CONTROL, SeriesControl, _require_beta, _require_finite, gamma_fn
 
 __all__ = [
     "CoherentSpec",
@@ -52,6 +52,7 @@ class CoherentSpec:
         if self.idx_m < 0:
             raise ValueError("idx_m must be non-negative")
         _require_beta(self.beta)
+        _require_finite("z", self.z)
 
 
 def norm_series(spec: CoherentSpec) -> float:
@@ -68,6 +69,7 @@ def norm_closed_m0(beta: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) 
     Raises NumericError where S(t) leaves the float64 range.
     """
     _require_beta(beta)
+    _require_finite("t", t)
     return _m0_series(t, beta, ctl).real
 
 
@@ -98,7 +100,8 @@ def _m0_series(t, beta: float, ctl: SeriesControl, scale: float = 1.0) -> comple
 
 def _norm(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     """The squared norm N_{beta,m}(z zbar) = sum_n |c_n(z)|^2, the bracket on
-    the diagonal: one poly2d._p_rows generator summed in long double.
+    the diagonal: one poly2d._p_rows generator summed in long double, a block
+    of rows at a time.
 
     ``z`` may be a scalar or an array; returns real values of its shape.
     Raises NumericError where N overflows float64 (|z| of about 27 and up).
@@ -112,9 +115,9 @@ def _norm(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
 
 def _bracket_sum(terms, m: int, beta: float, ctl: SeriesControl):
     """The row sum of bracket terms row(z) conj(row(w)) = c_n(w) conj(c_n(z)),
-    divided by Gamma(beta+1), in long double.  The stopping test compares the
-    terms with their own partial sum, which for distant states lies far below
-    sqrt(N_z N_w)."""
+    given in blocks of rows, divided by Gamma(beta+1), in long double.  The
+    stopping test compares the terms with their own partial sum, which for
+    distant states lies far below sqrt(N_z N_w)."""
     total, _ = _row_sum(terms, m, ctl, "coherent bracket")
     return total / np.longdouble(gamma_fn(beta + 1.0))
 
@@ -128,8 +131,10 @@ def overlap_closed(z: complex, w: complex, m: int, beta: float, ctl: SeriesContr
     construction of the normalization.
     """
     _require_beta(beta)
+    _require_finite("z", z)
+    _require_finite("w", w)
     rows = _p_rows(m, beta, np.array([z, w], dtype=np.clongdouble))  # one generator for both states
-    cross, nz, nw = _bracket_sum((r[[0, 0, 1]] * np.conj(r[[1, 0, 1]]) for r in rows), m, beta, ctl)
+    cross, nz, nw = _bracket_sum((r[:, [0, 0, 1]] * np.conj(r[:, [1, 0, 1]]) for r in rows), m, beta, ctl)
     return complex(cross / np.sqrt(nz.real * nw.real))
 
 
@@ -137,6 +142,8 @@ def kernel_K(z: complex, w: complex, beta: float, ctl: SeriesControl = DEFAULT_C
     """Reproducing kernel K_beta(z, w) = sum_n (z wbar)^n / Gamma(beta+n+1) = S(z wbar) / Gamma(beta+1).
     Raises NumericError where the m=0 series misses _M0_TARGET = 1e-12 or the float64 range."""
     _require_beta(beta)
+    _require_finite("z", z)
+    _require_finite("w", w)
     return _m0_series(complex(z) * complex(w).conjugate(), beta, ctl, gamma_fn(beta + 1.0))
 
 
@@ -151,6 +158,7 @@ def eta_density(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     e^{-z zbar} falls below the normal float64 range and loses digits.
     """
     _require_beta(beta)
+    _require_finite("z", z)
     z = np.asarray(z, dtype=complex)
     t = (z * z.conj()).real
     decay = np.exp(-t)

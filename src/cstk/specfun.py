@@ -9,6 +9,7 @@ series that the checks compare against live in oracles.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,6 +53,13 @@ def _require_beta(beta: float) -> None:
     """The one domain check of the measure parameter: beta >= 0 and finite."""
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError("beta must be non-negative")
+
+
+def _require_finite(name: str, value) -> None:
+    """The one check of a point argument: every value finite, else ValueError naming it.
+    cmath on a scalar, so a single evaluation pays no array call."""
+    if not (cmath.isfinite(value) if np.isscalar(value) else np.isfinite(value).all()):
+        raise ValueError(f"{name} must be finite")
 
 
 def _is_nonpositive_integer(x: float) -> bool:

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstk.errors import ConvergenceError
 from cstk.measures import CallableMeasure, GammaMeasure, gen_factorial, x_gen
 from cstk.oracles import ito_hermite
-from cstk.poly2d import ModeIndex, h_poly, h_poly_expand, landau_apply, p_norm
+from cstk.poly2d import _EPS_LD, ModeIndex, _p_rows, _row_sum, _tail_rows, h_poly, h_poly_expand, landau_apply, p_norm
 from cstk.quadrature import polar_rule
-from cstk.specfun import gamma_fn, laguerre
+from cstk.specfun import SeriesControl, gamma_fn, laguerre
 
 modes = st.tuples(st.integers(0, 8), st.integers(0, 8), st.floats(0.0, 2.5, allow_nan=False))
 points = st.complex_numbers(min_magnitude=0.0, max_magnitude=3.0, allow_nan=False, allow_infinity=False)
@@ -212,6 +213,94 @@ class TestLadder:
             acc *= math.sqrt(x_gen(meas, k + 1, m))
         ref = math.sqrt(gen_factorial(meas, n, m) * gen_factorial(meas, m, 0))
         assert acc == pytest.approx(ref, rel=1e-12)
+
+
+def _reference_row_sum(terms, m, ctl):
+    """The term-by-term loop that poly2d._row_sum replaces: (sum, estimate, terms taken)."""
+    total = absum = mag = 0
+    small = 0
+    for n, term in zip(range(ctl.max_terms + 1), terms):
+        total = total + term
+        mag, prev_mag = np.abs(term), mag
+        absum = absum + mag
+        small = small + 1 if n > m and np.all(mag <= np.maximum(ctl.rel_tol * np.abs(total), _EPS_LD * absum)) else 0
+        if small == 2:
+            return total, _EPS_LD * absum + np.maximum(mag, prev_mag), n + 1
+    raise ConvergenceError("reference loop not converged")
+
+
+# 0 or |w| >= 1e-6, so that 48 rows stay in the normal float64 range, where an ulp is relative
+row_points = st.one_of(
+    st.just(0j), st.complex_numbers(min_magnitude=1e-6, max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+)
+row_cases = st.tuples(
+    st.integers(0, 8),
+    st.sampled_from([0.0, 0.5, 2.3]),
+    st.sampled_from([(), (2,), (64,)]),  # a scalar, a pair and a point set past the block length
+    st.lists(row_points, min_size=64, max_size=64),
+)
+
+
+class TestRowBlocks:
+    """_p_rows and _row_sum a block of rows at a time against one row at a time."""
+
+    @staticmethod
+    def _points(shape, pts, dtype):
+        return np.array(pts[: int(np.prod(shape))], dtype=dtype).reshape(shape)
+
+    @given(row_cases, st.sampled_from([np.complex128, np.clongdouble]))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_single_rows(self, case, dtype):
+        m, beta, shape, pts = case
+        w = self._points(shape, pts, dtype)
+        single = np.concatenate(list(itertools.islice(_p_rows(m, beta, w, 1), 48)))
+        blocks = list(itertools.islice(_p_rows(m, beta, w, 16), 3))
+        assert all(b.shape == (16,) + shape for b in blocks)
+        rows = np.concatenate(blocks)
+        if dtype == np.clongdouble:
+            assert np.array_equal(rows, single)
+        else:
+            # numpy's complex128 multiply may round a product differently in its
+            # vector and its accumulate loops: at most one ulp per monomial step
+            steps = np.maximum(np.arange(48) - m, 0).reshape((48,) + (1,) * len(shape))
+            assert np.all(np.abs(rows - single) <= steps * np.finfo(float).eps * np.abs(single))
+
+    @given(row_cases, st.sampled_from([np.complex128, np.clongdouble]))
+    @settings(max_examples=60, deadline=None)
+    def test_laguerre_factors_bitwise(self, case, dtype):
+        m, beta, shape, pts = case
+        w = self._points(shape, pts, dtype)
+        u = (w * np.conj(w)).real
+        lag = np.array([laguerre(k, beta, u) for k in range(m + 1)])
+        ref = lag.copy()
+        mono = np.ones_like(w)
+        for n in range(m, m + 48, 16):
+            _, mono, lag = _tail_rows(m, beta, w, n, 16, mono, lag)
+            for _ in range(16):  # the one-row step
+                for k in range(1, m + 1):
+                    ref[k] += ref[k - 1]
+            assert np.array_equal(lag, ref)
+
+    @given(row_cases)
+    @settings(max_examples=60, deadline=None)
+    def test_row_sum_matches_term_loop(self, case):
+        m, beta, shape, pts = case
+        w = self._points(shape, pts, np.clongdouble)
+
+        def terms(block):  # cross terms, which cancel, on a point set; |row|^2 on a scalar
+            return block * np.conj(block[:, ::-1] if block.ndim > 1 else block)
+
+        ctl = SeriesControl()
+        ref, ref_est, taken = _reference_row_sum((t[0] for t in map(terms, _p_rows(m, beta, w, 1))), m, ctl)
+        for block in (1, 16):
+            total, est = _row_sum(map(terms, _p_rows(m, beta, w, block)), m, ctl, "test series")
+            assert np.array_equal(total, ref) and np.array_equal(est, ref_est)
+        # the budget: a stop at n = max_terms succeeds, one row more raises
+        for block in (1, 16):
+            total, _ = _row_sum(map(terms, _p_rows(m, beta, w, block)), m, SeriesControl(max_terms=taken - 1), "s")
+            assert np.array_equal(total, ref)
+            with pytest.raises(ConvergenceError, match="s not converged in"):
+                _row_sum(map(terms, _p_rows(m, beta, w, block)), m, SeriesControl(max_terms=taken - 2), "s")
 
 
 class TestLandau:

@@ -141,6 +141,43 @@ class TestAdaptiveLine:
             assert val == pytest.approx(math.gamma(k + 0.5), rel=1e-15, abs=0.0)
         assert abs(float(np.sum(rule.weights * rule.nodes**3))) <= 1e-16 * rule.mass
 
+    @staticmethod
+    def _direct_rule(weight, half, npts):
+        """The trapezoid rule on npts nodes of [-half, half], each weight evaluated afresh."""
+        x = np.linspace(-half, half, npts)
+        w = np.asarray(weight(x), dtype=float) * (2.0 * half / (npts - 1))
+        w[[0, -1]] *= 0.5
+        return x, w
+
+    @pytest.mark.parametrize("beta,degree", [(0.0, 4), (0.5, 16), (1.0, 12), (1.7, 6), (2.3, 8), (3.5, 2)])
+    def test_levels_reuse_values_bitwise(self, beta, degree):
+        # each level evaluates only its new nodes; the rule equals the direct construction bit for bit
+        calls = []
+
+        def counting(x):
+            calls.append(np.array(x, dtype=float))
+            return omega_weight(x, beta)
+
+        rule = adaptive_line(counting, 1e-11, degree)
+        ladder = np.arange(3.0, 30.5, 0.5)
+        levels = [c for c in calls if not np.isin(c, ladder).all()]
+        assert np.array_equal(np.sort(np.concatenate(levels)), rule.nodes)  # each node evaluated once
+        x, w = self._direct_rule(lambda x: omega_weight(x, beta), float(rule.nodes[-1]), len(rule.nodes))
+        assert np.array_equal(rule.nodes, x) and np.array_equal(rule.weights, w)
+
+    def test_ladder_past_twelve_only_when_needed(self):
+        # a Gaussian truncates at x <= 12, so no ladder point past 12 is evaluated
+        seen = []
+
+        def counting(x):
+            seen.extend(np.abs(np.asarray(x)).tolist())
+            return np.exp(-(x**2))
+
+        adaptive_line(counting, 1e-10, 4)
+        assert max(seen) <= 12.0
+        slow = adaptive_line(lambda x: np.exp(-0.05 * x**2), 1e-6, 0)  # weight(12) = 7.5e-4
+        assert 12.0 < slow.nodes[-1] <= 30.0
+
     def test_workload_rules_are_small(self, workload_rules, monkeypatch):
         assert all(len(rule.nodes) <= 513 for rule in workload_rules.values())
         built = []

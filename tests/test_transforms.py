@@ -159,6 +159,35 @@ def test_real_line_rejects_invalid_beta(beta):
             call()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, -math.inf), complex(math.nan, 1.0)])
+def test_rejects_non_finite_points(bad):
+    # each ran its whole 500-term budget, printed RuntimeWarnings and raised
+    # ConvergenceError; apply_transform returned nan+nanj
+    rule = QuadratureRule("truncated_line", np.array([0.0]), np.array([1.0]))
+    f = SampledFunction(kind="coeffs", beta=0.5, coeffs=np.ones(3))
+    calls = {
+        "z": [
+            lambda: kernel_B(2, 0.5, bad, 0.3),
+            lambda: overlap_closed(bad, 1.0, 2, 0.5),
+            lambda: kernel_K(bad, 1.0, 0.5),
+            lambda: eta_density(np.array([1.0, bad]), 2, 0.5),
+            lambda: eta_density(bad, 2, 0.5),
+            lambda: CoherentSpec(z=bad, idx_m=2, beta=0.5),
+        ],
+        "w": [lambda: overlap_closed(1.0, bad, 2, 0.5), lambda: kernel_K(1.0, bad, 0.5)],
+        "targets": [lambda: apply_transform(f, 2, 0.5, [0.5, bad], rule)],
+    }
+    if isinstance(bad, float):
+        calls["x"] = [lambda: kernel_B(2, 0.5, 0.5 + 0.1j, bad), lambda: kernel_B(2, 0.5, 0.5, np.array([0.0, bad]))]
+        calls["t"] = [lambda: norm_closed_m0(0.5, bad)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, group in calls.items():
+            for call in group:
+                with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                    call()
+
+
 class TestBasisPhi:
     def test_ground(self):
         assert basis_phi(0, 1.3, 0.8) == 1.0
@@ -389,14 +418,15 @@ class TestApplyTransform:
 
     @staticmethod
     def _count_rows(monkeypatch):
-        """Replace transforms._p_rows by a wrapper; returns the list of rows taken per call."""
+        """Replace transforms._p_rows by a wrapper that hands on its blocks one row
+        at a time; returns the list of rows taken per call."""
         calls, p_rows = [], transforms_module._p_rows
 
         def counting(*args):
             calls.append(0)
-            for row in p_rows(*args):
+            for row in itertools.chain.from_iterable(p_rows(*args)):
                 calls[-1] += 1
-                yield row
+                yield row[np.newaxis]
 
         monkeypatch.setattr(transforms_module, "_p_rows", counting)
         return calls
@@ -446,8 +476,9 @@ class TestApplyTransform:
         fv = f.sample(x)
         f_parts = np.array([fv.real, fv.imag])
         out, peak, small = np.zeros(len(targets), complex), np.zeros(len(targets)), 0
-        p_rows = transforms_module._p_rows(m, beta, np.asarray(targets, complex))
-        for n, (row, phi) in enumerate(zip(p_rows, transforms_module._phi_rows(beta, x))):
+        p_rows = itertools.chain.from_iterable(transforms_module._p_rows(m, beta, np.asarray(targets, complex), 1))
+        phis = itertools.chain.from_iterable(transforms_module._phi_rows(beta, x))
+        for n, (row, phi) in enumerate(zip(p_rows, phis)):
             wphi = rule.weights * phi
             d_re, d_im = np.einsum("ij,j->i", f_parts, wphi)
             out += complex(d_re, d_im) * row
@@ -493,7 +524,7 @@ class TestApplyTransform:
         refs = np.array([np.sum(rule.weights * fv * kernel_B(m, beta, np.conj(z), rule.nodes)) for z in targets])
         refs /= math.sqrt(gamma)
         # ||f|| (sum_n |P~_{n,m}(z)|^2)^{1/2} / sqrt(Gamma(beta+1)); the rows carry sqrt(Gamma(beta+1))
-        rows = np.array(list(itertools.islice(transforms_module._p_rows(m, beta, targets), 120)))
+        rows = np.concatenate(list(itertools.islice(transforms_module._p_rows(m, beta, targets, 1), 120)))
         scale = math.sqrt(np.sum(rule.weights * np.abs(fv) ** 2)) * np.sqrt(np.sum(np.abs(rows) ** 2, axis=0)) / gamma
         err = np.abs(vals - refs)
         assert np.all(err <= 1e-11 * np.abs(refs)), err / np.abs(refs)

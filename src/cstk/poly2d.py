@@ -185,22 +185,26 @@ def _p_rows(m: int, beta: float, w, block: int | None = None):
         n <  m:  (-1)^n wbar^{m-n} L_n^(m-n+beta)(|w|^2) sqrt(n! / Gamma(beta+m+1))
         n >= m:  (-1)^m sqrt(m!) w^{n-m} L_m^(n-m+beta)(|w|^2) / sqrt(Gamma(beta+n+1)),
 
-    with no negative power of |w|.  The degree recurrence of specfun.laguerre
-    starts every Laguerre factor; from row to row L_k^(alpha+1) = sum_{j<=k} L_j^(alpha).
-    Yields blocks of ``block`` consecutive rows, shape (block,) + w.shape
-    (default _block_len(w.size)): one row steps the factors in place, a longer
-    block takes the same products and sums in the same order (_tail_rows).
+    with no negative power of |w|.  Two O(m) recurrences start the rows: the
+    head diagonal D_n = L_n^(m-n+beta) (_head_laguerre) and the column
+    L_k^(beta), k = 0..m, of specfun.laguerre's degree recurrence, from which
+    row to row L_k^(alpha+1) = sum_{j<=k} L_j^(alpha).  Yields blocks of
+    ``block`` consecutive rows, shape (block,) + w.shape (default
+    _block_len(w.size)): one row steps the factors in place, a longer block
+    takes the same products and sums in the same order (_tail_rows).  At one
+    point the start's real steps run on numpy scalars, so one point gets the
+    rows it gets inside any array, bit for bit.
     """
     w = np.asarray(w)
     size = _block_len(w.size) if block is None else block
     real = w.real.dtype.type
-    u = (w * np.conj(w)).real
-    alpha = real(beta) + np.arange(m, -1, -1, dtype=real).reshape((m + 1,) + (1,) * u.ndim)
-    table = list(itertools.islice(_laguerre_rows(alpha, u), m + 1))  # table[k][i] = L_k^(m-i+beta)(u)
+    u = (w * np.conj(w)).real.reshape(-1)
+    if w.size == 1:
+        u = u[0]  # a numpy scalar: the real steps of the start cost ~7x less and round alike
     poch_m = np.prod(real(beta) + np.arange(1, m + 1, dtype=real))  # (beta+1)_m
-    head = ((-1) ** n * np.sqrt(real(math.factorial(n)) / poch_m) * np.conj(w) ** (m - n) * table[n][n] for n in range(m))
+    head = _head_rows(m, beta, w.reshape(-1), u, poch_m)
     if size == 1:
-        yield from (row[np.newaxis] for row in head)
+        yield from (row.reshape((1,) + w.shape) for row in head)
     else:
         head = np.array(list(head), dtype=w.dtype).reshape((m,) + w.shape)
         whole = m - m % size
@@ -208,7 +212,7 @@ def _p_rows(m: int, beta: float, w, block: int | None = None):
             yield head[n : n + size]
     # the factors of row m, made once the head is taken: a short sum may not need them
     mono = (-1) ** m * np.sqrt(real(math.factorial(m)) / poch_m) * np.ones_like(w)
-    lag = np.array([t[m] for t in table])  # L_k^(beta)(u), k = 0..m
+    lag = np.array(list(itertools.islice(_laguerre_rows(beta, u), m + 1))).reshape((m + 1,) + w.shape)  # L_k^(beta)
     if size == 1:  # endless
         for n in itertools.count(m):
             yield (mono * lag[m])[np.newaxis]
@@ -222,6 +226,37 @@ def _p_rows(m: int, beta: float, w, block: int | None = None):
     for n in itertools.count(n, size):
         rows, mono, lag = _tail_rows(m, beta, w, n, size, mono, lag)
         yield rows
+
+
+def _head_rows(m: int, beta: float, w, u, poch_m):
+    """Generator of the rows n < m of _p_rows at the points of the 1-D array w, with
+    u = |w|^2 (an array of its shape or, at one point, a numpy scalar) and
+    poch_m = (beta+1)_m: (-1)^n sqrt(n! / poch_m) wbar^{m-n} D_n, the powers of wbar
+    from one running product and D_n from _head_laguerre.  The complex products stay
+    on arrays: numpy's complex scalar multiply rounds apart from its array loop."""
+    real = w.real.dtype.type
+    powers = []  # wbar^j at j - 1, j = 1..m
+    for _ in range(m):
+        powers.append(powers[-1] * powers[0] if powers else np.conj(w))
+    for n, lag in zip(range(m), _head_laguerre(m, beta, u)):
+        row = powers[m - 1 - n]  # read once, so the row takes its memory: a third of the head's time at 10 000 points
+        row *= (-1) ** n * np.sqrt(real(math.factorial(n)) / poch_m) * lag
+        yield row
+
+
+def _head_laguerre(m: int, beta: float, u):
+    """Generator of the head diagonal D_n = L_n^(m-n+beta)(u), n = 0, 1, ..., in the
+    dtype of u: D_0 = 1 and (n+1) D_{n+1} = (m-n+beta-u) D_n - u D_{n-1}, from
+    DLMF 18.9.13-14.  Against 50-digit mpmath for m <= 8, beta in {0, 0.5, 2.3}
+    and u <= 400 it is within 2.5 eps of sum_j |term_j| in the explicit sum
+    sum_j binom(n+a, n-j) (-u)^j / j!, a = m-n+beta.  Of max(1, |D_n|) that is up
+    to 8.4e-14 in float64 and 8.4e-17 in long double next to a root (u = 20.75,
+    m = 8, beta = 2.3), where the terms exceed |D_n| some 1e5 times."""
+    real = u.real.dtype.type
+    prev, cur = 0, np.ones_like(u)[()]
+    for n in itertools.count():
+        yield cur
+        prev, cur = cur, ((real(beta) + (m - n) - u) * cur - u * prev) / (n + 1)
 
 
 def _tail_rows(m: int, beta: float, w, n: int, count: int, mono, lag):

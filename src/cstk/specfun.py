@@ -105,9 +105,9 @@ def pochhammer(a: float, k: int) -> float:
 def _laguerre_rows(alpha, t):
     """Endless generator of L_k^(alpha)(t), k = 0, 1, ..., by the forward recurrence
     (k+1) L_{k+1} = (2k+1+alpha-t) L_k - (k+alpha) L_{k-1}, valid for every real
-    alpha.  ``alpha`` is cast to the dtype of ``t`` (an ndarray or numpy scalar) and broadcasts against it."""
-    alpha = np.asarray(alpha, dtype=t.real.dtype)[()]  # [()]: numpy scalars compute ~7x faster than 0-d arrays
-    prev, cur = 0, np.ones_like(alpha * t)[()]
+    alpha.  The real scalar ``alpha`` is cast to the real dtype of ``t`` (an ndarray or numpy scalar)."""
+    alpha = t.real.dtype.type(alpha)
+    prev, cur = 0, np.ones_like(t)[()]  # [()]: numpy scalars compute ~7x faster than 0-d arrays
     for k in itertools.count():
         yield cur
         prev, cur = cur, ((2 * k + 1 + alpha - t) * cur - (k + alpha) * prev) / (k + 1)

@@ -62,7 +62,16 @@ class SampledFunction:
         if self.kind == "grid":
             if self.x is None or self.values is None:
                 raise ValueError("grid function needs x and values")
-            if np.any(np.diff(self.x) <= 0):
+            x, values = np.asarray(self.x), np.asarray(self.values)
+            if x.ndim != 1 or values.ndim != 1:
+                raise ValueError("grid x and values must be 1-D")
+            if len(x) != len(values):
+                raise ValueError(f"grid has {len(x)} x but {len(values)} values")
+            if len(x) < 2:
+                raise ValueError("grid needs at least 2 points")
+            _require_finite("grid x", x)
+            _require_finite("grid values", values)
+            if np.any(np.diff(x) <= 0):
                 raise ValueError("grid must be strictly increasing")
         elif self.kind == "coeffs":
             if self.coeffs is None:

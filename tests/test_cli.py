@@ -177,6 +177,13 @@ class TestTransformCommand:
         code, _ = run(capsys, "transform", "--input", str(tmp_path / "absent.txt"), "--targets", str(tmp_path / "t.txt"))
         assert code == 2
 
+    def test_bad_grid_file_exit(self, capsys, tmp_path):
+        fpath, tpath = tmp_path / "f.txt", tmp_path / "targets.txt"
+        fpath.write_text("# kind=grid beta=0\n-1 0.5\nnan 1\n1 0.5\n")
+        tpath.write_text("0.5+0i\n")
+        assert cli.main(["transform", "--input", str(fpath), "--targets", str(tpath), "--m", "1", "--beta", "0"]) == 2
+        assert capsys.readouterr().err == "error: grid x must be finite\n"
+
     def test_coefficient_file_builds_no_rule(self, capsys, tmp_path, monkeypatch):
         def no_rule(*args, **kwargs):
             raise AssertionError("a coefficient input needs no quadrature rule")

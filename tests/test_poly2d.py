@@ -12,7 +12,18 @@ from hypothesis import strategies as st
 from cstk.errors import ConvergenceError
 from cstk.measures import CallableMeasure, GammaMeasure, gen_factorial, x_gen
 from cstk.oracles import ito_hermite
-from cstk.poly2d import _EPS_LD, ModeIndex, _p_rows, _row_sum, _tail_rows, h_poly, h_poly_expand, landau_apply, p_norm
+from cstk.poly2d import (
+    _EPS_LD,
+    ModeIndex,
+    _head_laguerre,
+    _p_rows,
+    _row_sum,
+    _tail_rows,
+    h_poly,
+    h_poly_expand,
+    landau_apply,
+    p_norm,
+)
 from cstk.quadrature import polar_rule
 from cstk.specfun import SeriesControl, gamma_fn, laguerre
 
@@ -302,6 +313,144 @@ class TestRowBlocks:
             with pytest.raises(ConvergenceError, match="s not converged in"):
                 _row_sum(map(terms, _p_rows(m, beta, w, block)), m, SeriesControl(max_terms=taken - 2), "s")
 
+
+def _laguerre_mp(n: int, a, u):
+    """L_n^(a)(u) and the sum of its |terms| in the explicit sum
+    sum_j binom(n+a, n-j) (-u)^j / j!, in mpmath at its working precision."""
+    term = mp.fprod((a + i) / i for i in range(1, n + 1))  # binom(n+a, n)
+    total = absum = term
+    for j in range(n):
+        term *= -u * (n - j) / ((j + 1) * (a + j + 1))
+        total, absum = total + term, absum + abs(term)
+    return total, absum
+
+
+def _mp_value(v):
+    """A float64 or long double value, exactly, as an mpmath number."""
+    num, den = v.as_integer_ratio()
+    return mp.mpf(num) / den
+
+
+def _table_start(m: int, beta: float, w):
+    """The start of _p_rows before its O(m) recurrences, kept as a reference: the
+    (m+1) x (m+1) table L_k^(m-i+beta)(|w|^2) of the degree recurrence at a vector
+    of alpha, the head rows read off its diagonal with powers of wbar by `**`.
+    Returns the head rows and the factors (mono, lag) of row m."""
+    w = np.asarray(w)
+    real = w.real.dtype.type
+    u = (w * np.conj(w)).real
+    alpha = real(beta) + np.arange(m, -1, -1, dtype=real).reshape((m + 1,) + (1,) * u.ndim)
+    prev, cur, table = 0, np.ones_like(alpha * u), []
+    for k in range(m + 1):
+        table.append(cur)
+        prev, cur = cur, ((2 * k + 1 + alpha - u) * cur - (k + alpha) * prev) / (k + 1)
+    poch_m = np.prod(real(beta) + np.arange(1, m + 1, dtype=real))
+    head = [(-1) ** n * np.sqrt(real(math.factorial(n)) / poch_m) * np.conj(w) ** (m - n) * table[n][n] for n in range(m)]
+    mono = (-1) ** m * np.sqrt(real(math.factorial(m)) / poch_m) * np.ones_like(w)
+    return head, mono, np.array([t[m] for t in table])
+
+
+start_cases = st.tuples(
+    st.integers(0, 8),
+    st.sampled_from([0.0, 0.5, 2.3]),
+    st.sampled_from([(), (1,), (64,)]),  # a scalar, one point (started on numpy scalars) and a point set
+    st.lists(row_points, min_size=64, max_size=64),
+    st.sampled_from([np.complex128, np.clongdouble]),
+)
+
+
+class TestRowStart:
+    """The O(m) start of _p_rows: the head diagonal against mpmath, and every row
+    against the (m+1) x (m+1) table start it replaced."""
+
+    BETAS = (0.0, 0.5, 2.3)
+
+    @pytest.mark.parametrize(
+        "real, us, tol",
+        [
+            (np.float64, (0.0, 1e-12, 1.0, 9.0, 36.0), 2e-14),
+            (np.longdouble, (0.0, 1e-12, 1.0, 9.0, 36.0, 100.0, 225.0), 1e-17),  # |z| = 15: the coherent range
+        ],
+    )
+    def test_head_factors_against_mpmath(self, real, us, tol):
+        with mp.workdps(40):
+            for m in range(1, 9):
+                for beta in self.BETAS:
+                    for u in us:
+                        heads = itertools.islice(_head_laguerre(m, beta, real(u)), m)
+                        for n, d in enumerate(heads):
+                            ref, _ = _laguerre_mp(n, m - n + mp.mpf(beta), mp.mpf(u))
+                            assert abs(_mp_value(d) - ref) <= tol * max(1, abs(ref)), (m, beta, u, n)
+
+    def test_head_factors_within_their_condition(self):
+        """Over u <= 400, denser where the roots lie, within 4 eps of the sum of
+        |terms| (2.4 at worst measured), in float64 and long double: near a root,
+        where that sum exceeds |L| some 1e5 times, no bound relative to
+        max(1, |L|) can hold at eps."""
+        us = 400.0 * (np.arange(81) / 80) ** 2
+        with mp.workdps(40):
+            for m in range(1, 9):
+                for beta in self.BETAS:
+                    heads = {
+                        real: list(itertools.islice(_head_laguerre(m, beta, us.astype(real)), m))
+                        for real in (np.float64, np.longdouble)
+                    }
+                    for n in range(m):
+                        for i, u in enumerate(us):
+                            ref, absum = _laguerre_mp(n, m - n + mp.mpf(beta), mp.mpf(u))
+                            for real, d in heads.items():
+                                assert abs(_mp_value(d[n][i]) - ref) <= 4 * np.finfo(real).eps * absum, (m, beta, u, n)
+
+    @given(start_cases)
+    @settings(max_examples=50, deadline=None)
+    def test_rows_against_table_start(self, case):
+        m, beta, shape, pts, dtype = case
+        w = np.array(pts[: int(np.prod(shape))], dtype=dtype).reshape(shape)
+        if not shape:
+            w = w[()]  # a numpy scalar, as kernel_B passes it
+        head, mono, lag = _table_start(m, beta, w)
+        # rows n >= m: bit for bit, one row at a time (the step copied) and in blocks of 16 (_tail_rows)
+        single, ref_mono, ref_lag, w_arr = [], mono, lag.copy(), np.asarray(w)
+        for n in range(m, m + 40):
+            single.append(ref_mono * ref_lag[m])
+            ref_mono = ref_mono * w_arr * (1 / np.sqrt(w.real.dtype.type(beta) + n + 1))
+            for k in range(1, m + 1):
+                ref_lag[k] += ref_lag[k - 1]
+        rows = np.concatenate(list(itertools.islice(_p_rows(m, beta, w, 1), m + 40)))
+        assert rows.dtype == dtype and rows.shape == (m + 40,) + np.shape(w)
+        assert np.array_equal(rows[m:], np.array(single))
+        first = m + (-m) % 16
+        blocks = [_tail_rows(m, beta, w_arr, m, first - m, mono, lag)[0]] if first > m else []
+        ref_mono, ref_lag = (mono, lag) if first == m else _tail_rows(m, beta, w_arr, m, first - m, mono, lag)[1:]
+        for n in range(first, first + 32, 16):
+            block, ref_mono, ref_lag = _tail_rows(m, beta, w_arr, n, 16, ref_mono, ref_lag)
+            blocks.append(block)
+        rows16 = np.concatenate(list(itertools.islice(_p_rows(m, beta, w, 16), first // 16 + 2)))
+        assert np.array_equal(rows16[m:], np.concatenate(blocks))
+        # rows n < m: the same values to within a few ulp of their condition,
+        # sqrt(n! / (beta+1)_m) |w|^{m-n} sum_j |term_j| (10.6 ulp at worst measured)
+        real = w.real.dtype.type
+        u = (w * np.conj(w)).real
+        poch_m = np.prod(real(beta) + np.arange(1, m + 1, dtype=real))
+        for n in range(m):
+            cond = np.sqrt(real(math.factorial(n)) / poch_m) * np.abs(w) ** (m - n) * laguerre(n, m - n + beta, -u)
+            eps = np.finfo(real).eps
+            assert np.all(np.abs(rows[n] - head[n]) <= 16 * eps * cond)
+            assert np.all(np.abs(rows16[n] - head[n]) <= 16 * eps * cond)
+
+
+    @given(start_cases, st.sampled_from([1, 16]))
+    @settings(max_examples=30, deadline=None)
+    def test_one_point_rows_as_in_an_array(self, case, block):
+        """At one point the start runs on numpy scalars: a scalar and a 1-point
+        array get the rows the point gets inside a 64-point array, bit for bit."""
+        m, beta, _, pts, dtype = case
+        w = np.array(pts, dtype=dtype)
+        rows = np.concatenate(list(itertools.islice(_p_rows(m, beta, w, block), 2 + 32 // block)))
+        for i in (0, 17, 63):
+            for one in (w[i], w[i : i + 1]):
+                got = np.concatenate(list(itertools.islice(_p_rows(m, beta, one, block), 2 + 32 // block)))
+                assert np.array_equal(got.reshape(len(rows)), rows[:, i])
 
 class TestLandau:
     def test_constant_killed(self):

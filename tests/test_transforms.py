@@ -593,6 +593,24 @@ class TestSampledFunctionIO:
         with pytest.raises(ValueError):
             SampledFunction(kind="grid", beta=0.0, x=np.array([0.0, 0.0]), values=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "x, values, message",
+        [
+            ([0.0, np.nan, 1.0], [1.0, 1.0, 1.0], "grid x must be finite"),  # np.diff(x) <= 0 is False on nan
+            ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0], "grid x must be finite"),
+            ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], "grid values must be finite"),
+            ([0.0, 1.0, 2.0], [1.0, complex(0.0, np.inf), 1.0], "grid values must be finite"),
+            ([0.0, 1.0, 2.0], [1.0, 1.0], "grid has 3 x but 2 values"),
+            ([0.0], [1.0], "grid needs at least 2 points"),
+            ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], "grid x and values must be 1-D"),
+            ([0.0, 1.0], [[1.0], [1.0]], "grid x and values must be 1-D"),
+        ],
+    )
+    def test_grid_rejected_at_construction(self, x, values, message):
+        """Each bad grid raises here, with this message, not later from the spline."""
+        with pytest.raises(ValueError, match=message):
+            SampledFunction(kind="grid", beta=0.0, x=np.array(x), values=np.array(values))
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("1.0\n")

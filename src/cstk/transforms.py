@@ -24,17 +24,19 @@ kernel is kept as the oracle oracles.kernel_B_mp.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericError
 from .formats import parse_complex
 from .poly2d import _block_len, _p_rows, _row_sum
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, _read_only
 from .specfun import DEFAULT_CONTROL, SeriesControl, _require_beta, _require_finite, gamma_fn, rgamma
 
 __all__ = [
@@ -50,7 +52,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A function on the line, either grid-sampled or as phi-basis coefficients."""
+    """A function on the line, either grid-sampled or as phi-basis coefficients.
+
+    A grid function holds read-only copies of its x and values, and builds its
+    spline once (``_spline``).  It also keeps the rule projection of its last
+    grid transform (``_projection``), so that a second transform with the same
+    rule and beta only steps the rows at its targets."""
 
     kind: str  # 'grid' | 'coeffs'
     beta: float
@@ -73,6 +80,8 @@ class SampledFunction:
             _require_finite("grid values", values)
             if np.any(np.diff(x) <= 0):
                 raise ValueError("grid must be strictly increasing")
+            object.__setattr__(self, "x", _read_only(x))
+            object.__setattr__(self, "values", _read_only(values))
         elif self.kind == "coeffs":
             if self.coeffs is None:
                 raise ValueError("coefficient function needs a coefficient vector")
@@ -81,16 +90,88 @@ class SampledFunction:
         else:
             raise ValueError("kind must be 'grid' or 'coeffs'")
 
+    @functools.cached_property
+    def _spline(self) -> tuple[np.ndarray, np.ndarray]:
+        """The knots and the (4, len(x) - 1) coefficients of the grid's not-a-knot cubic spline."""
+        x = np.asarray(self.x, dtype=float)
+        return x, _not_a_knot(x, self.values)
+
+    def _projection(self, rule: QuadratureRule, beta: float) -> _Projection:
+        """The projection of this grid function with ``rule`` at ``beta``, kept
+        in one slot: a call with another rule or beta replaces it."""
+        proj = self.__dict__.get("_projection_slot")
+        if proj is None or proj.rule is not rule or proj.beta != beta:
+            proj = self.__dict__["_projection_slot"] = _Projection(self, rule, beta)  # cached state, no field
+        return proj
+
     def sample(self, x: np.ndarray) -> np.ndarray:
         """Values at arbitrary abscissae (cubic spline for grids, zero outside)."""
+        x = np.asarray(x, dtype=float)
         if self.kind == "coeffs":
-            x = np.asarray(x, dtype=float)
             phis = itertools.chain.from_iterable(_phi_rows(self.beta, x))
             return sum((a * phi for a, phi in zip(self.coeffs, phis)), np.zeros(len(x), complex))
-        from scipy.interpolate import CubicSpline  # grid input only: scipy stays off the import path
-        out = CubicSpline(self.x, self.values)(x).astype(complex)
-        out[(x < self.x[0]) | (x > self.x[-1])] = 0.0  # zero outside the grid
+        knots, c = self._spline
+        i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+        t = x - knots[i]
+        out = (((c[0, i] * t + c[1, i]) * t + c[2, i]) * t + c[3, i]).astype(complex)
+        out[(x < knots[0]) | (x > knots[-1])] = 0.0  # zero outside the grid
         return out
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients c, shape (4, len(x) - 1), of the not-a-knot cubic spline
+    through (x, y), in long double: on [x_i, x_{i+1}] it is
+    ((c_0 t + c_1) t + c_2) t + c_3, t = x - x_i.  The slopes s_i at the knots
+    solve the C^2 conditions
+
+        dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1} = 3 (dx_i m_{i-1} + dx_{i-1} m_i)
+
+    (dx_i = x_{i+1} - x_i, m_i the chord slopes) closed by a continuous third
+    derivative at x_1 and x_{n-2}: a tridiagonal system, solved by the Thomas
+    algorithm.  As in scipy.interpolate.CubicSpline, 2 knots give the line and
+    3 the parabola through them.  Long double keeps the rounding of the solve
+    and of the cubic terms, which can exceed the values many times over
+    between noisy samples, below that of the float64 result.  ``y`` may be
+    complex."""
+    x = np.asarray(x, dtype=np.longdouble)
+    y = np.asarray(y, dtype=np.clongdouble if np.iscomplexobj(y) else np.longdouble)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    n = len(x)
+    if n == 2:
+        s = np.array([slope[0], slope[0]])
+    elif n == 3:
+        curv = (slope[1] - slope[0]) / (x[2] - x[0])  # the parabola's second divided difference
+        s = slope[0] + curv * np.array([-dx[0], dx[0], dx[0] + 2 * dx[1]])
+    else:
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        lower = np.concatenate([[0], dx[1:], [d1]])
+        diag = np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]])
+        upper = np.concatenate([[d0], dx[:-1], [0]])
+        rhs = np.concatenate([
+            [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+            3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+            [(dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
+        ])
+        s = np.array(_thomas(list(lower), list(diag), list(upper), list(rhs)))
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.array([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+
+def _thomas(lower: list, diag: list, upper: list, rhs: list) -> list:
+    """Solution u of lower_i u_{i-1} + diag_i u_i + upper_i u_{i+1} = rhs_i
+    (lower_0 = upper_{n-1} = 0), by elimination without pivoting, one scalar
+    at a time."""
+    ratio, u = [], []
+    up = cur = 0
+    for a, b, c, r in zip(lower, diag, upper, rhs):
+        den = b - a * up
+        up, cur = c / den, (r - a * cur) / den
+        ratio.append(up)
+        u.append(cur)
+    for i in range(len(u) - 2, -1, -1):
+        u[i] = u[i] - ratio[i] * u[i + 1]
+    return u
 
 
 def load_sampled(path) -> SampledFunction:
@@ -255,6 +336,9 @@ def _phi_rows(beta: float, x: np.ndarray, block: int | None = None):
         yield np.reshape(rows, (size,) + x.shape)
 
 
+_KERNEL_B_TARGET = 1e-10  # relative: a long-double sum rounded to complex128
+
+
 def kernel_B(
     m: int,
     beta: float,
@@ -268,10 +352,12 @@ def kernel_B(
     per block at up to 16 points x: until two successive terms are below
     ctl.rel_tol of the partial sum (or its rounding error) at every x; past
     ctl.max_terms it raises ConvergenceError.  ``x`` may be an ndarray.
-    return_error_estimate=True adds (eps sum|term| + last terms) / |value|
-    per point: rounding, truncation and the final rounding to complex128.
-    The terms exceed the value by about e^{(x/sqrt2 - Re z)^2}, so the
-    estimate grows where x and Re z are large with opposite signs.
+    The relative error estimate (eps sum|term| + last terms) / |value| + eps
+    per point counts rounding, truncation and the final rounding to
+    complex128; where it exceeds _KERNEL_B_TARGET = 1e-10 at any x the call
+    raises NumericError.  The terms exceed the value by about
+    e^{(x/sqrt2 - Re z)^2}, so the estimate grows where x and Re z are large
+    with opposite signs.  return_error_estimate=True also returns it.
     """
     _require_beta(beta)
     _require_finite("z", z)
@@ -282,11 +368,65 @@ def kernel_B(
     terms = (row[:, np.newaxis] * phi for row, phi in zip(rows, _phi_rows(beta, x_arr, block)))
     total, est = _row_sum(terms, m, ctl, "kernel_B series")
     values = total.astype(complex)
+    err = (est / np.maximum(np.abs(total), 1e-300)).astype(float)
+    err += np.finfo(float).eps
+    if not np.all(err <= _KERNEL_B_TARGET):
+        i = int(np.flatnonzero(~(err <= _KERNEL_B_TARGET))[0])
+        raise NumericError(
+            f"kernel_B misses {_KERNEL_B_TARGET:g} at m={m}, beta={beta}, z={complex(z)}, "
+            f"x={float(x_arr[i])}: error estimate {err[i]:.2g}"
+        )
     if return_error_estimate:
-        err = (est / np.maximum(np.abs(total), 1e-300)).astype(float)
-        err += np.finfo(float).eps
         return (values, err) if np.ndim(x) else (complex(values[0]), float(err[0]))
     return values if np.ndim(x) else complex(values[0])
+
+
+class _Projection:
+    """The part of a grid transform that no target enters: f sampled at the
+    rule's nodes and, term by term, (d_n, ||phi_n||, shrink_n), where
+    d_n = sum_i w_i phi_n(x_i) f(x_i), ||phi_n|| is the rule norm and
+    shrink_n = min(1, ||rest_{n-1}|| / ||f||) (0 for f = 0 on the nodes), with
+    rest_{n-1} = (f - sum_{k<n} d_k phi_k) / max|f| on the nodes.  The terms
+    are made on demand and only appended, under a lock, so a caller that
+    stops early or raises, or runs in another thread, leaves them valid for
+    the next."""
+
+    def __init__(self, f: SampledFunction, rule: QuadratureRule, beta: float):
+        self.rule, self.beta = rule, beta
+        x = np.asarray(rule.nodes, dtype=float)
+        fv = f.sample(x)
+        self.f_parts = np.array([fv.real, fv.imag])
+        self.scale = np.max(np.abs(fv)) or 1.0
+        self.rest = self.f_parts / self.scale  # the part of f not yet projected, over max|f|
+        self.f_norm = self.rest_norm = math.sqrt(np.einsum("ij,ij,j->", self.rest, self.rest, rule.weights))
+        self.phis = (block[0] for block in _phi_rows(beta, x, 1))
+        self.phi = None  # phi_n of the last term, not yet taken out of the rest
+        self.done: list[tuple[complex, float, float]] = []
+        self.lock = threading.Lock()
+
+    def terms(self):
+        """Endless generator of (d_n, ||phi_n||, shrink_n), n = 0, 1, ..."""
+        for n in itertools.count():
+            if n == len(self.done):
+                with self.lock:
+                    if n == len(self.done):
+                        self._append()
+            yield self.done[n]
+
+    def _append(self):
+        weights = self.rule.weights
+        rest, rest_norm = self.rest, self.rest_norm
+        if self.done:
+            d = self.done[-1][0]
+            rest = rest - np.array([[d.real], [d.imag]]) / self.scale * self.phi
+            rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, weights))
+        phi = next(self.phis)
+        # einsum, not np.dot or @: a threaded BLAS call costs milliseconds at these lengths
+        wphi = weights * phi
+        d_re, d_im = np.einsum("ij,j->i", self.f_parts, wphi)
+        shrink = min(1.0, rest_norm / self.f_norm) if self.f_norm > 0 else 0.0  # at most 1
+        self.done.append((complex(d_re, d_im), math.sqrt(abs(np.einsum("i,i->", wphi, phi))), shrink))
+        self.rest, self.rest_norm, self.phi = rest, rest_norm, phi
 
 
 def apply_transform(
@@ -314,7 +454,10 @@ def apply_transform(
     so far (rule norms; rest_{n-1} = f - sum_{k<n} d_k phi_k on the nodes, over
     max|f|: scale-free).  This is Cauchy-Schwarz, |d_n| <= ||rest_{n-1}|| ||phi_n||,
     where the rule keeps phi_n orthogonal to the phi_k already projected; the
-    min never takes more rows than the f-free bound ||f|| ||phi_n||.
+    min never takes more rows than the f-free bound ||f|| ||phi_n||.  What no
+    target enters, the samples, d_n, ||phi_n|| and the shrink factor, f keeps
+    for its last rule and beta (_Projection), so a repeated call steps only
+    the rows at its targets.
     """
     _require_beta(beta)
     if abs(f.beta - beta) > 1e-12:
@@ -333,28 +476,16 @@ def apply_transform(
     elif rule is None:
         raise ValueError("a grid input needs a quadrature rule against domega_beta")
     else:
-        x = np.asarray(rule.nodes, dtype=float)
-        fv = f.sample(x)
-        f_parts = np.array([fv.real, fv.imag])
-        scale = np.max(np.abs(fv)) or 1.0
-        rest = f_parts / scale  # the part of f not yet projected, over max|f|
-        f_norm = rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, rule.weights))
         peak = np.zeros(len(zs))
         small = 0
-        phis = (block[0] for block in _phi_rows(beta, x, 1))
-        for n, row, phi in zip(range(ctl.max_terms + 1), rows, phis):
-            # einsum, not np.dot or @: a threaded BLAS call costs milliseconds at these lengths
-            wphi = rule.weights * phi
-            d_re, d_im = np.einsum("ij,j->i", f_parts, wphi)
-            out += complex(d_re, d_im) * row
-            bound = math.sqrt(abs(np.einsum("i,i->", wphi, phi))) * np.abs(row)
+        terms = f._projection(rule, beta).terms()
+        for n, row, (d, phi_norm, shrink) in zip(range(ctl.max_terms + 1), rows, terms):
+            out += d * row
+            bound = phi_norm * np.abs(row)
             peak = np.maximum(peak, bound)
-            shrink = min(1.0, rest_norm / f_norm) if f_norm > 0 else 0.0  # ||rest_{n-1}|| / ||f||, at most 1
             small = small + 1 if n > m and np.all(shrink * bound <= ctl.rel_tol * peak) else 0
             if small == 2:
                 break
-            rest -= np.array([[d_re], [d_im]]) / scale * phi
-            rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, rule.weights))
         else:
             raise ConvergenceError(f"transform series not converged in {ctl.max_terms} terms")
     out /= math.sqrt(gamma_fn(beta + 1.0))

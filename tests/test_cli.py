@@ -97,6 +97,17 @@ class TestEval:
             code, out = run(capsys, "eval", *argv)
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("m,beta,z,x", [(2, 1, 3, -12), (2, 1, 3, -20), (0, 0, 6, -5), (0, 0, 3, -8), (2, 0, 1.5, -12)])
+    def test_kernel_past_its_target_exits_3(self, capsys, m, beta, z, x):
+        # printed 3.919, -3.17e15, -1.96e-8, -9.1e-10 and -6.0e-8 with exit 0 before
+        # (relative errors 0.16 to 3.4e18; estimates 10 to 1.1e3)
+        args = ["--beta", str(beta), f"--z={z}", f"--x={x}"]
+        code, out = run(capsys, "eval", "kernel", "--m", str(m), *args)
+        assert code == 3 and out == ""
+        if m == 0:
+            code, out = run(capsys, "eval", "kernel", "--analytic", *args)
+            assert code == 3 and out == ""
+
     def test_numeric_failure_exit_code(self, capsys):
         code, _ = run(capsys, "--max-terms", "2", "eval", "norm", "--m", "0", "--beta", "0", "--z", "2+0i")
         assert code == 3
@@ -307,11 +318,15 @@ class TestConfig:
         assert code == 2
 
 
-def test_import_path_leaves_scipy_and_mpmath_unloaded():
-    # a fresh process, as every cstk command is one
+def test_import_path_leaves_scipy_and_mpmath_unloaded(tmp_path):
+    # a fresh process, as every cstk command is one; a grid transform splines its input in numpy
+    fpath, tpath = tmp_path / "f.txt", tmp_path / "targets.txt"
+    fpath.write_text("# kind=grid beta=1\n" + "".join(f"{x!r} {math.exp(-x * x)!r}\n" for x in range(-8, 9)))
+    tpath.write_text("0.5+0.25i\n")
     probe = (
         "import sys, cstk; from cstk import cli; "
         "code = cli.main(['eval', 'weight', '--beta', '1.7', '--x', '5']); "
+        f"code += cli.main(['transform', '--input', {str(fpath)!r}, '--targets', {str(tpath)!r}, '--m', '2', '--beta', '1']); "
         "bad = {'scipy', 'mpmath'} & set(sys.modules); assert code == 0 and not bad, (code, bad)"
     )
     env = dict(os.environ)

@@ -2,19 +2,23 @@ import cmath
 import itertools
 import json
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from cstk.coherent import CoherentSpec, eta_density, kernel_K, norm_closed_m0, overlap_closed
 from cstk.measures import GammaMeasure
 from cstk.poly2d import ModeIndex, p_norm
 from cstk.quadrature import QuadratureRule, adaptive_line
 from cstk import transforms as transforms_module
-from cstk.errors import ConvergenceError
+from cstk.errors import ConvergenceError, NumericError
 from cstk.oracles import assoc_hermite, kernel_B_mp, kernel_B_true_poly, lauricella_triple
 from cstk.specfun import SeriesControl, gamma_fn, pochhammer
 from cstk.transforms import (
@@ -259,9 +263,16 @@ class TestKernels:
                 b = lauricella_triple(beta + 1.0, beta, math.sqrt(2.0) * x * zc, -zc * zc / 2.0, -zc * zc)
                 assert abs(a - b) <= 1e-12 * abs(b)
 
-    def test_analytic_at_large_z_and_x(self):
-        # the complex128 Lauricella series was 7.3e-4 and 3.2e-4 off here
-        for z, x in [(3.0 * cmath.exp(0.3j), -3.0), (-3.0 + 0.0j, 3.0)]:
+    def test_analytic_at_large_z_and_x(self, monkeypatch):
+        # the complex128 Lauricella series was 7.3e-4 and 3.2e-4 off here; the
+        # long-double sum is within 1e-8, but its estimates (1.6e-8 and 6.3e-8)
+        # miss the 1e-10 target, so the call raises
+        points = [(3.0 * cmath.exp(0.3j), -3.0), (-3.0 + 0.0j, 3.0)]
+        for z, x in points:
+            with pytest.raises(NumericError, match="misses 1e-10"):
+                kernel_B_analytic(0.0, z, x)
+        monkeypatch.setattr(transforms_module, "_KERNEL_B_TARGET", math.inf)
+        for z, x in points:
             ref = kernel_B_true_poly(0, z, x)
             assert abs(kernel_B_analytic(0.0, z, x) - ref) <= 1e-8 * abs(ref)
 
@@ -311,7 +322,7 @@ class TestKernels:
             vals = kernel_B(m, beta, 0.0, x)
         np.testing.assert_allclose(vals, _zero_limit(m, beta, x), rtol=1e-12)
 
-    def test_sweep_against_oracle(self):
+    def test_sweep_against_oracle(self, monkeypatch):
         # |z| from 0 to 3 at two phases, every m <= 8: kernel_B_mp (the paper's
         # Hermite-Laguerre + Lauricella form, stored by
         # scripts/kernel_sweep_reference.py) for z != 0, the closed limit at z = 0
@@ -319,9 +330,17 @@ class TestKernels:
         refs = {tuple(row[:5]): complex(row[5], row[6]) for row in data["values"]}
         assert data["grid"] == SWEEP_GRID
         g = SWEEP_GRID
-        cancelling = []
+        cancelling, raised = [], []
         for m, beta, r, phase, x in itertools.product(g["m"], g["beta"], [0.0] + g["r"], g["phase"], g["x"]):
-            val, est = kernel_B(m, beta, complex(r * np.exp(1j * phase)), x, return_error_estimate=True)
+            z = complex(r * np.exp(1j * phase))
+            try:
+                val, est = kernel_B(m, beta, z, x, return_error_estimate=True)
+            except NumericError:
+                raised.append((m, beta, r, phase, x))
+                with monkeypatch.context() as patch:  # the value it would print, and its estimate
+                    patch.setattr(transforms_module, "_KERNEL_B_TARGET", math.inf)
+                    val, est = kernel_B(m, beta, z, x, return_error_estimate=True)
+                assert est > 1e-10, (m, beta, r, phase, x, est)
             ref = _zero_limit(m, beta, x) if r == 0.0 else refs[(m, beta, r, phase, x)]
             err = abs(val - ref) / abs(ref)
             if r == 0.0:
@@ -336,6 +355,32 @@ class TestKernels:
         assert all(r == 3.0 and x * math.cos(phase) < 0 and abs(x) == 3.0 and err <= 1e-8
                    for m, beta, r, phase, x, err in cancelling), cancelling
         assert len(cancelling) <= 12, cancelling  # 6 of the 54 corner points today
+        # the points whose estimate misses 1e-10 raise NumericError
+        assert raised == [(0, 0.0, 3.0, 0.3, -3.0), (0, 0.0, 3.0, 2.5, 3.0), (1, 0.0, 3.0, 0.3, -3.0),
+                          (2, 0.0, 3.0, 0.3, -3.0)], raised
+
+    # wrong answers that exited 0: (m, beta, z, x), value printed, 60-digit kernel_B_mp
+    KERNEL_B_WRONG = [
+        (2, 1.0, 3.0, -12.0, 3.919, 4.653),
+        (2, 1.0, 3.0, -20.0, -3.17e15, 8.491),
+        (0, 0.0, 6.0, -5.0, -1.96e-8, 5.7e-27),
+        (0, 0.0, 3.0, -8.0, -9.1e-10, 2.0e-17),
+        (2, 0.0, 1.5, -12.0, -6.0e-8, 8.0e-10),
+    ]
+
+    @pytest.mark.parametrize("m,beta,z,x,printed,ref", KERNEL_B_WRONG)
+    def test_wrong_answers_raise(self, m, beta, z, x, printed, ref, monkeypatch):
+        with pytest.raises(NumericError, match="misses 1e-10"):
+            kernel_B(m, beta, z, x)
+        with pytest.raises(NumericError):  # one such x in an array is enough
+            kernel_B(m, beta, z, np.array([0.5, x]))
+        if m == 0:
+            with pytest.raises(NumericError):
+                kernel_B_analytic(beta, z, x)
+        monkeypatch.setattr(transforms_module, "_KERNEL_B_TARGET", math.inf)
+        val, est = kernel_B(m, beta, z, x, return_error_estimate=True)
+        assert abs(val.real - printed) <= 0.01 * abs(printed) and est >= 1.0  # no correct digit
+        assert abs(val - ref) >= 0.1 * abs(ref)
 
     @pytest.mark.parametrize("m,beta,z,x", KERNEL_B_FAULT_POINTS)
     def test_small_z_fault_points(self, m, beta, z, x):
@@ -512,9 +557,12 @@ class TestApplyTransform:
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.3])
     @pytest.mark.parametrize("m", [0, 4, 8])
     @pytest.mark.parametrize("name", sorted(SMOOTH_INPUTS))
-    def test_smooth_grid_input_against_kernel_quadrature(self, rules, beta, m, name):
+    def test_smooth_grid_input_against_kernel_quadrature(self, rules, beta, m, name, monkeypatch):
         # inputs that no spline reproduces, so the stop rests on the decay of
         # the unprojected rest; the reference is the rule quadrature of the kernel
+        # (at the outer nodes of the beta = 0 rule, |x| near 9, the kernel's estimate
+        # passes 1e-10 where the weight is below 1e-35, so the reference lifts the target)
+        monkeypatch.setattr(transforms_module, "_KERNEL_B_TARGET", math.inf)
         rule = rules[beta]
         f = SampledFunction(kind="grid", beta=beta, x=self.SMOOTH_GRID, values=self.SMOOTH_INPUTS[name])
         targets = np.array([0.0, 0.9 + 0.4j, -0.6 + 1.1j, 1.5j, -1.2 - 0.7j])
@@ -621,3 +669,213 @@ class TestSampledFunctionIO:
         f = SampledFunction(kind="grid", beta=0.0, x=np.array([-1.0, 0.0, 1.0]), values=np.array([1.0, 1.0, 1.0]))
         out = f.sample(np.array([-5.0, 0.0, 5.0]))
         assert out[0] == 0.0 and out[2] == 0.0 and out[1] == pytest.approx(1.0)
+
+
+def _exact_spline(x, y, xs):
+    """The not-a-knot cubic spline through the real samples (x, y), at the points
+    xs, in exact rational arithmetic and rounded once: second derivatives M_i
+    from the C^2 conditions h_{i-1} M_{i-1} + 2 (h_{i-1} + h_i) M_i + h_i M_{i+1}
+    = 6 (m_i - m_{i-1}) with a continuous third derivative at x_1 and x_{n-2}
+    (constant M on 3 knots, M = 0 on 2), solved by banded elimination; zero outside."""
+    X, Y = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    n = len(X)
+    h = [b - a for a, b in zip(X, X[1:])]
+    chord = [(b - a) / d for a, b, d in zip(Y, Y[1:], h)]
+    rows = []
+    if n == 2:
+        rows = [[1, 0, 0], [0, 1, 0]]
+    elif n == 3:
+        rows = [[1, -1, 0, 0], [0, 1, -1, 0], [h[0], 2 * (h[0] + h[1]), h[1], 6 * (chord[1] - chord[0])]]
+    else:
+        first = [-1 / h[0], 1 / h[0] + 1 / h[1], -1 / h[1]] + [0] * (n - 3)
+        rows.append(first + [0])
+        for i in range(1, n - 1):
+            row = [0] * (n + 1)
+            row[i - 1 : i + 2] = [h[i - 1], 2 * (h[i - 1] + h[i]), h[i]]
+            row[n] = 6 * (chord[i] - chord[i - 1])
+            rows.append(row)
+        rows.append([0] * (n - 3) + [-1 / h[-2], 1 / h[-2] + 1 / h[-1], -1 / h[-1], 0])
+    rows = [[Fraction(v) for v in row] for row in rows]
+    for k in range(n):  # exact, so any nonzero pivot will do; nothing lies 3 rows below one
+        assert rows[k][k] != 0
+        for i in range(k + 1, min(n, k + 3)):
+            if rows[i][k] != 0:
+                q = rows[i][k] / rows[k][k]
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[k])]
+    M = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        M[k] = (rows[k][n] - sum(rows[k][j] * M[j] for j in range(k + 1, min(n, k + 4)))) / rows[k][k]
+    out = []
+    for v in xs:
+        v = Fraction(float(v))
+        if not X[0] <= v <= X[-1]:
+            out.append(0.0)
+            continue
+        i = min(max(j for j in range(n) if X[j] <= v), n - 2)
+        a, b, d = X[i + 1] - v, v - X[i], h[i]
+        s = (M[i] * a**3 + M[i + 1] * b**3) / (6 * d) + (Y[i] / d - M[i] * d / 6) * a + (Y[i + 1] / d - M[i + 1] * d / 6) * b
+        out.append(float(s))
+    return np.array(out)
+
+
+class TestGridSpline:
+    """SampledFunction's not-a-knot spline against scipy's CubicSpline and an exact solve."""
+
+    GRID_X = np.linspace(-12.0, 12.0, 1201)  # the grid of the benchmark's transform workload
+
+    @staticmethod
+    def _scipy(x, values, xs):
+        out = CubicSpline(x, values)(xs).astype(complex)
+        out[(xs < x[0]) | (xs > x[-1])] = 0.0
+        return out
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 61, 1201])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_scipy(self, n, kind):
+        x = np.linspace(-12.0, 12.0, n)
+        values = np.cos(x) if kind == "real" else np.exp(-x * x / 2) * (1 + 0.3j * x)
+        xs = np.concatenate([np.linspace(-12.5, 12.5, 2001), x])
+        f = SampledFunction(kind="grid", beta=0.0, x=x, values=values)
+        out = f.sample(xs)
+        assert out.dtype == complex
+        assert np.max(np.abs(out - self._scipy(x, values, xs))) <= 1e-15 * np.max(np.abs(values))
+        assert np.all(out[np.abs(xs) > 12.0] == 0.0)
+
+    @pytest.mark.parametrize("grid", ["uniform-2", "uniform-3", "uniform-4", "uniform-5", "uniform-61",
+                                      "random-41-0", "random-41-1", "random-61-2"])
+    def test_noise_against_exact_spline(self, grid):
+        # noise makes the spline swing well past the samples between close knots,
+        # where float64 cubic terms cancel: on these grids scipy is up to 3.1e-14
+        # of max|y| off the exact spline (random-41-0), this spline 2.1e-17
+        spacing, n, *seed = grid.split("-")
+        n = int(n)
+        rng = np.random.default_rng(int(seed[0]) if seed else n)
+        x = np.sort(rng.uniform(-12.0, 12.0, n)) if spacing == "random" else np.linspace(-12.0, 12.0, n)
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+        xs = np.sort(np.concatenate([x, rng.uniform(-12.5, 12.5, 300)]))
+        exact = _exact_spline(x, values.real, xs) + 1j * _exact_spline(x, values.imag, xs)
+        ours = SampledFunction(kind="grid", beta=0.0, x=x, values=values).sample(xs)
+        err, scipy_err = np.max(np.abs(ours - exact)), np.max(np.abs(self._scipy(x, values, xs) - exact))
+        assert err <= scipy_err, (err, scipy_err)
+        assert err <= 1e-15 * np.max(np.abs(exact)), err
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.3])
+    def test_reproduces_phi3(self, beta):
+        # a cubic is its own not-a-knot spline: what is left is the rounding of the samples
+        values = basis_phi(3, self.GRID_X, beta)
+        f = SampledFunction(kind="grid", beta=beta, x=self.GRID_X, values=values)
+        xs = np.linspace(-12.0, 12.0, 24001)
+        assert np.max(np.abs(f.sample(xs) - basis_phi(3, xs, beta))) <= 2e-15 * np.max(np.abs(values))
+
+    def test_built_once(self):
+        f = SampledFunction(kind="grid", beta=0.0, x=self.GRID_X, values=np.cos(self.GRID_X))
+        first = f.sample(np.array([0.3]))
+        assert f._spline is f._spline
+        assert f.sample(np.array([0.3])) == first
+
+    def test_grid_arrays_are_read_only(self):
+        x, values = np.linspace(-1.0, 1.0, 5), np.ones(5)
+        f = SampledFunction(kind="grid", beta=0.0, x=x, values=values)
+        for arr in (f.x, f.values):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 2.0
+        before = f.sample(np.array([0.1]))
+        values[:] = 5.0  # the caller's own array stays writable, and the function keeps its copy
+        assert f.sample(np.array([0.1])) == before
+
+
+def _one_loop_grid_transform(f, m, beta, targets, rule, ctl=transforms_module.DEFAULT_CONTROL):
+    """The grid branch of apply_transform as one loop that projects f as it steps
+    the rows, with nothing kept between calls."""
+    zs = np.asarray(targets, dtype=complex).ravel()
+    out = np.zeros(len(zs), dtype=complex)
+    rows = (block[0] for block in transforms_module._p_rows(m, beta, zs, 1))
+    x = np.asarray(rule.nodes, dtype=float)
+    fv = f.sample(x)
+    f_parts = np.array([fv.real, fv.imag])
+    scale = np.max(np.abs(fv)) or 1.0
+    rest = f_parts / scale
+    f_norm = rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, rule.weights))
+    peak = np.zeros(len(zs))
+    small = 0
+    phis = (block[0] for block in transforms_module._phi_rows(beta, x, 1))
+    for n, row, phi in zip(range(ctl.max_terms + 1), rows, phis):
+        wphi = rule.weights * phi
+        d_re, d_im = np.einsum("ij,j->i", f_parts, wphi)
+        out += complex(d_re, d_im) * row
+        bound = math.sqrt(abs(np.einsum("i,i->", wphi, phi))) * np.abs(row)
+        peak = np.maximum(peak, bound)
+        shrink = min(1.0, rest_norm / f_norm) if f_norm > 0 else 0.0
+        small = small + 1 if n > m and np.all(shrink * bound <= ctl.rel_tol * peak) else 0
+        if small == 2:
+            break
+        rest -= np.array([[d_re], [d_im]]) / scale * phi
+        rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, rule.weights))
+    else:
+        raise ConvergenceError("not converged")
+    out /= math.sqrt(gamma_fn(beta + 1.0))
+    return out.tolist()
+
+
+class TestGridProjection:
+    """The projections a grid function keeps per rule: bitwise what one loop gives."""
+
+    GRID = np.linspace(-12.0, 12.0, 1201)
+    INPUTS = {
+        "phi3": lambda beta, x: basis_phi(3, x, beta),
+        "gauss": lambda beta, x: np.exp(-x * x / 2) * (1 + 0.3j * x),
+        "noise": lambda beta, x: np.array([1.0, 1j]) @ np.random.default_rng(19).normal(size=(2, len(x))),
+    }
+    TARGETS = ([0.7 - 0.2j], [0.0, 0.9 + 0.4j, -1.5j, 2.0 - 2.0j, 3.0], list(np.linspace(-3.0, 3.0, 40) * (1 + 0.5j)))
+
+    @pytest.mark.parametrize("beta,m", [(0.0, 5), (1.0, 0), (2.3, 8)])
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_repeated_calls_match_one_loop(self, rules, beta, m, name):
+        values = self.INPUTS[name](beta, self.GRID)
+        f = SampledFunction(kind="grid", beta=beta, x=self.GRID, values=values)
+        for targets in self.TARGETS + self.TARGETS[::-1]:
+            fresh = SampledFunction(kind="grid", beta=beta, x=self.GRID, values=values)
+            ref = _one_loop_grid_transform(fresh, m, beta, targets, rules[beta])
+            assert apply_transform(f, m, beta, targets, rules[beta]) == ref  # bitwise
+        assert f._projection(rules[beta], beta) is f._projection(rules[beta], beta)
+
+    def test_raise_leaves_projection_valid(self, rules):
+        beta, m = 1.0, 4
+        values = self.INPUTS["gauss"](beta, self.GRID)
+        f = SampledFunction(kind="grid", beta=beta, x=self.GRID, values=values)
+        with pytest.raises(ConvergenceError):
+            apply_transform(f, m, beta, self.TARGETS[1], rules[beta], SeriesControl(max_terms=6))
+        assert len(f._projection(rules[beta], beta).done) == 7
+        ref = _one_loop_grid_transform(f, m, beta, self.TARGETS[1], rules[beta])
+        assert apply_transform(f, m, beta, self.TARGETS[1], rules[beta]) == ref
+
+    def test_alternating_rules(self, rules):
+        beta, m = 1.0, 2
+        coarse = np.linspace(-5.0, 5.0, 41)
+        other = QuadratureRule("truncated_line", coarse, omega_weight(coarse, beta) * (coarse[1] - coarse[0]))
+        values = self.INPUTS["gauss"](beta, self.GRID)
+        f = SampledFunction(kind="grid", beta=beta, x=self.GRID, values=values)
+        refs = {id(rule): _one_loop_grid_transform(f, m, beta, self.TARGETS[1], rule) for rule in (rules[beta], other)}
+        assert refs[id(other)] != refs[id(rules[beta])]
+        for rule in (rules[beta], other, rules[beta], other):
+            assert apply_transform(f, m, beta, self.TARGETS[1], rule) == refs[id(rule)]
+            assert f._projection(rule, beta).rule is rule
+
+    def test_threads_share_one_projection(self, rules):
+        # four threads extend one fresh projection at once; a lost or doubled
+        # term would shift every later d_n
+        beta, m = 0.0, 5
+        values = self.INPUTS["gauss"](beta, self.GRID)
+        ref = _one_loop_grid_transform(SampledFunction(kind="grid", beta=beta, x=self.GRID, values=values),
+                                       m, beta, self.TARGETS[1], rules[beta])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                f = SampledFunction(kind="grid", beta=beta, x=self.GRID, values=values)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(apply_transform, f, m, beta, self.TARGETS[1], rules[beta]) for _ in range(8)]
+                    results = [fut.result(timeout=60) for fut in futures]
+                assert all(r == ref for r in results)
+        finally:
+            sys.setswitchinterval(interval)

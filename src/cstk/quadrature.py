@@ -23,18 +23,12 @@ class QuadratureRule:
     kind is one of 'half_line', 'real_line', 'polar', 'truncated_line'.
     For 'polar' the nodes are (r, theta) pairs of shape (N, 2); otherwise a
     flat array of abscissae.  Weights are strictly positive and sum to the
-    total mass of the underlying weight function.  Both are held as read-only
-    copies, so what is computed from a rule once (the projections of a grid
-    transform) cannot go stale.
+    total mass of the underlying weight function.
     """
 
     kind: str
     nodes: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", _read_only(self.nodes))
-        object.__setattr__(self, "weights", _read_only(self.weights))
 
     @property
     def mass(self) -> float:
@@ -53,14 +47,6 @@ class QuadratureRule:
         pts = self.complex_points() if self.kind == "polar" else self.nodes
         vals = np.asarray(f(pts))
         return complex(np.sum(self.weights * vals))
-
-
-def _read_only(a) -> np.ndarray:
-    """A copy of ``a`` that cannot be written to, so that neither its holder nor
-    the caller who passed ``a`` can change what was computed from it."""
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
 
 
 def gauss_laguerre(n: int, alpha: float) -> QuadratureRule:

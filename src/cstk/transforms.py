@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +35,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericError
 from .formats import parse_complex
 from .poly2d import _block_len, _p_rows, _row_sum
-from .quadrature import QuadratureRule, _read_only
+from .quadrature import QuadratureRule
 from .specfun import DEFAULT_CONTROL, SeriesControl, _require_beta, _require_finite, gamma_fn, rgamma
 
 __all__ = [
@@ -54,10 +53,8 @@ __all__ = [
 class SampledFunction:
     """A function on the line, either grid-sampled or as phi-basis coefficients.
 
-    A grid function holds read-only copies of its x and values, and builds its
-    spline once (``_spline``).  It also keeps the rule projection of its last
-    grid transform (``_projection``), so that a second transform with the same
-    rule and beta only steps the rows at its targets."""
+    A grid function holds read-only copies of its x and values, so that the
+    spline it builds once (``_spline``) cannot go stale."""
 
     kind: str  # 'grid' | 'coeffs'
     beta: float
@@ -96,14 +93,6 @@ class SampledFunction:
         x = np.asarray(self.x, dtype=float)
         return x, _not_a_knot(x, self.values)
 
-    def _projection(self, rule: QuadratureRule, beta: float) -> _Projection:
-        """The projection of this grid function with ``rule`` at ``beta``, kept
-        in one slot: a call with another rule or beta replaces it."""
-        proj = self.__dict__.get("_projection_slot")
-        if proj is None or proj.rule is not rule or proj.beta != beta:
-            proj = self.__dict__["_projection_slot"] = _Projection(self, rule, beta)  # cached state, no field
-        return proj
-
     def sample(self, x: np.ndarray) -> np.ndarray:
         """Values at arbitrary abscissae (cubic spline for grids, zero outside)."""
         x = np.asarray(x, dtype=float)
@@ -116,6 +105,14 @@ class SampledFunction:
         out = (((c[0, i] * t + c[1, i]) * t + c[2, i]) * t + c[3, i]).astype(complex)
         out[(x < knots[0]) | (x > knots[-1])] = 0.0  # zero outside the grid
         return out
+
+
+def _read_only(a) -> np.ndarray:
+    """A copy of ``a`` that cannot be written to, so that neither its holder nor
+    the caller who passed ``a`` can change what was computed from it."""
+    out = np.array(a)
+    out.setflags(write=False)
+    return out
 
 
 def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -381,54 +378,6 @@ def kernel_B(
     return values if np.ndim(x) else complex(values[0])
 
 
-class _Projection:
-    """The part of a grid transform that no target enters: f sampled at the
-    rule's nodes and, term by term, (d_n, ||phi_n||, shrink_n), where
-    d_n = sum_i w_i phi_n(x_i) f(x_i), ||phi_n|| is the rule norm and
-    shrink_n = min(1, ||rest_{n-1}|| / ||f||) (0 for f = 0 on the nodes), with
-    rest_{n-1} = (f - sum_{k<n} d_k phi_k) / max|f| on the nodes.  The terms
-    are made on demand and only appended, under a lock, so a caller that
-    stops early or raises, or runs in another thread, leaves them valid for
-    the next."""
-
-    def __init__(self, f: SampledFunction, rule: QuadratureRule, beta: float):
-        self.rule, self.beta = rule, beta
-        x = np.asarray(rule.nodes, dtype=float)
-        fv = f.sample(x)
-        self.f_parts = np.array([fv.real, fv.imag])
-        self.scale = np.max(np.abs(fv)) or 1.0
-        self.rest = self.f_parts / self.scale  # the part of f not yet projected, over max|f|
-        self.f_norm = self.rest_norm = math.sqrt(np.einsum("ij,ij,j->", self.rest, self.rest, rule.weights))
-        self.phis = (block[0] for block in _phi_rows(beta, x, 1))
-        self.phi = None  # phi_n of the last term, not yet taken out of the rest
-        self.done: list[tuple[complex, float, float]] = []
-        self.lock = threading.Lock()
-
-    def terms(self):
-        """Endless generator of (d_n, ||phi_n||, shrink_n), n = 0, 1, ..."""
-        for n in itertools.count():
-            if n == len(self.done):
-                with self.lock:
-                    if n == len(self.done):
-                        self._append()
-            yield self.done[n]
-
-    def _append(self):
-        weights = self.rule.weights
-        rest, rest_norm = self.rest, self.rest_norm
-        if self.done:
-            d = self.done[-1][0]
-            rest = rest - np.array([[d.real], [d.imag]]) / self.scale * self.phi
-            rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, weights))
-        phi = next(self.phis)
-        # einsum, not np.dot or @: a threaded BLAS call costs milliseconds at these lengths
-        wphi = weights * phi
-        d_re, d_im = np.einsum("ij,j->i", self.f_parts, wphi)
-        shrink = min(1.0, rest_norm / self.f_norm) if self.f_norm > 0 else 0.0  # at most 1
-        self.done.append((complex(d_re, d_im), math.sqrt(abs(np.einsum("i,i->", wphi, phi))), shrink))
-        self.rest, self.rest_norm, self.phi = rest, rest_norm, phi
-
-
 def apply_transform(
     f: SampledFunction,
     m: int,
@@ -454,10 +403,7 @@ def apply_transform(
     so far (rule norms; rest_{n-1} = f - sum_{k<n} d_k phi_k on the nodes, over
     max|f|: scale-free).  This is Cauchy-Schwarz, |d_n| <= ||rest_{n-1}|| ||phi_n||,
     where the rule keeps phi_n orthogonal to the phi_k already projected; the
-    min never takes more rows than the f-free bound ||f|| ||phi_n||.  What no
-    target enters, the samples, d_n, ||phi_n|| and the shrink factor, f keeps
-    for its last rule and beta (_Projection), so a repeated call steps only
-    the rows at its targets.
+    min never takes more rows than the f-free bound ||f|| ||phi_n||.
     """
     _require_beta(beta)
     if abs(f.beta - beta) > 1e-12:
@@ -476,16 +422,28 @@ def apply_transform(
     elif rule is None:
         raise ValueError("a grid input needs a quadrature rule against domega_beta")
     else:
+        x = np.asarray(rule.nodes, dtype=float)
+        fv = f.sample(x)
+        f_parts = np.array([fv.real, fv.imag])
+        scale = np.max(np.abs(fv)) or 1.0
+        rest = f_parts / scale  # the part of f not yet projected, over max|f|
+        f_norm = rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, rule.weights))
         peak = np.zeros(len(zs))
         small = 0
-        terms = f._projection(rule, beta).terms()
-        for n, row, (d, phi_norm, shrink) in zip(range(ctl.max_terms + 1), rows, terms):
-            out += d * row
-            bound = phi_norm * np.abs(row)
+        phis = (block[0] for block in _phi_rows(beta, x, 1))
+        for n, row, phi in zip(range(ctl.max_terms + 1), rows, phis):
+            # einsum, not np.dot or @: a threaded BLAS call costs milliseconds at these lengths
+            wphi = rule.weights * phi
+            d_re, d_im = np.einsum("ij,j->i", f_parts, wphi)
+            out += complex(d_re, d_im) * row
+            bound = math.sqrt(abs(np.einsum("i,i->", wphi, phi))) * np.abs(row)
             peak = np.maximum(peak, bound)
+            shrink = min(1.0, rest_norm / f_norm) if f_norm > 0 else 0.0  # ||rest_{n-1}|| / ||f||, at most 1
             small = small + 1 if n > m and np.all(shrink * bound <= ctl.rel_tol * peak) else 0
             if small == 2:
                 break
+            rest -= np.array([[d_re], [d_im]]) / scale * phi
+            rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, rule.weights))
         else:
             raise ConvergenceError(f"transform series not converged in {ctl.max_terms} terms")
     out /= math.sqrt(gamma_fn(beta + 1.0))

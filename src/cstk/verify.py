@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coherent, measures, poly2d, quadrature, transforms
+from .errors import NumericError
 from .oracles import assoc_hermite, closed_bracket, hyp_pfq, kernel_B_true_poly, lauricella_triple, mittag_leffler
 from .specfun import gamma_fn, pochhammer
 
@@ -246,18 +247,30 @@ def check_generating_function(
 
 def check_kernel_reduction(mmax: int = 8, samples: int = 100, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Generating-form kernel at beta=0 vs the true-polyanalytic closed form,
-    over fixed-seed points with |z| <= 3, |x| <= 3."""
+    over fixed-seed points with |z| <= 3, |x| <= 3.
+
+    Where Re z and x are large with opposite signs, kernel_B's error estimate
+    can pass its 1e-10 target and the call raises NumericError: such a point
+    counts as an expected raise, listed as (m, Re z, Im z, x) in
+    ``details["expected_raises"]``, not as an error."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     zs = _annulus_points(rng, samples, 0.0, 3.0)
     xs = rng.uniform(-3.0, 3.0, samples)
     ms = [i % (mmax + 1) for i in range(samples)]
-    val = np.array([transforms.kernel_B(m, 0.0, complex(z), float(x)) for m, z, x in zip(ms, zs, xs)])
-    ref = np.array([kernel_B_true_poly(m, complex(z), float(x)) for m, z, x in zip(ms, zs, xs)])
-    err = np.abs(val - ref)
+    rel, absolute, raised = [], [], []
+    for m, z, x in zip(ms, zs, xs):
+        try:
+            val = transforms.kernel_B(m, 0.0, complex(z), float(x))
+        except NumericError:
+            raised.append((m, float(z.real), float(z.imag), float(x)))
+            continue
+        ref = kernel_B_true_poly(m, complex(z), float(x))
+        absolute.append(abs(val - ref))
+        rel.append(absolute[-1] / abs(ref))
     return _report(
         "kernel-reduction", t0, seed, {"mmax": mmax, "samples": samples},
-        {"true-polyanalytic": ([err / np.abs(ref)], 1e-8)}, abs_err=[err],
+        {"true-polyanalytic": (rel, 1e-8)}, abs_err=absolute, details={"expected_raises": raised},
     )
 
 

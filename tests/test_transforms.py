@@ -2,9 +2,7 @@ import cmath
 import itertools
 import json
 import math
-import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -773,6 +771,14 @@ class TestGridSpline:
         assert f._spline is f._spline
         assert f.sample(np.array([0.3])) == first
 
+    def test_repeated_transform_is_bitwise_equal(self, rules):
+        f = SampledFunction(kind="grid", beta=1.0, x=self.GRID_X, values=np.exp(-self.GRID_X**2 / 2) * (1 + 0.3j))
+        targets = [0.0, 0.9 + 0.4j, -1.5j]
+        first = apply_transform(f, 2, 1.0, targets, rules[1.0])
+        assert apply_transform(f, 2, 1.0, targets, rules[1.0]) == first
+        fresh = SampledFunction(kind="grid", beta=1.0, x=self.GRID_X, values=f.values)
+        assert apply_transform(fresh, 2, 1.0, targets, rules[1.0]) == first
+
     def test_grid_arrays_are_read_only(self):
         x, values = np.linspace(-1.0, 1.0, 5), np.ones(5)
         f = SampledFunction(kind="grid", beta=0.0, x=x, values=values)
@@ -782,100 +788,3 @@ class TestGridSpline:
         before = f.sample(np.array([0.1]))
         values[:] = 5.0  # the caller's own array stays writable, and the function keeps its copy
         assert f.sample(np.array([0.1])) == before
-
-
-def _one_loop_grid_transform(f, m, beta, targets, rule, ctl=transforms_module.DEFAULT_CONTROL):
-    """The grid branch of apply_transform as one loop that projects f as it steps
-    the rows, with nothing kept between calls."""
-    zs = np.asarray(targets, dtype=complex).ravel()
-    out = np.zeros(len(zs), dtype=complex)
-    rows = (block[0] for block in transforms_module._p_rows(m, beta, zs, 1))
-    x = np.asarray(rule.nodes, dtype=float)
-    fv = f.sample(x)
-    f_parts = np.array([fv.real, fv.imag])
-    scale = np.max(np.abs(fv)) or 1.0
-    rest = f_parts / scale
-    f_norm = rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, rule.weights))
-    peak = np.zeros(len(zs))
-    small = 0
-    phis = (block[0] for block in transforms_module._phi_rows(beta, x, 1))
-    for n, row, phi in zip(range(ctl.max_terms + 1), rows, phis):
-        wphi = rule.weights * phi
-        d_re, d_im = np.einsum("ij,j->i", f_parts, wphi)
-        out += complex(d_re, d_im) * row
-        bound = math.sqrt(abs(np.einsum("i,i->", wphi, phi))) * np.abs(row)
-        peak = np.maximum(peak, bound)
-        shrink = min(1.0, rest_norm / f_norm) if f_norm > 0 else 0.0
-        small = small + 1 if n > m and np.all(shrink * bound <= ctl.rel_tol * peak) else 0
-        if small == 2:
-            break
-        rest -= np.array([[d_re], [d_im]]) / scale * phi
-        rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, rule.weights))
-    else:
-        raise ConvergenceError("not converged")
-    out /= math.sqrt(gamma_fn(beta + 1.0))
-    return out.tolist()
-
-
-class TestGridProjection:
-    """The projections a grid function keeps per rule: bitwise what one loop gives."""
-
-    GRID = np.linspace(-12.0, 12.0, 1201)
-    INPUTS = {
-        "phi3": lambda beta, x: basis_phi(3, x, beta),
-        "gauss": lambda beta, x: np.exp(-x * x / 2) * (1 + 0.3j * x),
-        "noise": lambda beta, x: np.array([1.0, 1j]) @ np.random.default_rng(19).normal(size=(2, len(x))),
-    }
-    TARGETS = ([0.7 - 0.2j], [0.0, 0.9 + 0.4j, -1.5j, 2.0 - 2.0j, 3.0], list(np.linspace(-3.0, 3.0, 40) * (1 + 0.5j)))
-
-    @pytest.mark.parametrize("beta,m", [(0.0, 5), (1.0, 0), (2.3, 8)])
-    @pytest.mark.parametrize("name", sorted(INPUTS))
-    def test_repeated_calls_match_one_loop(self, rules, beta, m, name):
-        values = self.INPUTS[name](beta, self.GRID)
-        f = SampledFunction(kind="grid", beta=beta, x=self.GRID, values=values)
-        for targets in self.TARGETS + self.TARGETS[::-1]:
-            fresh = SampledFunction(kind="grid", beta=beta, x=self.GRID, values=values)
-            ref = _one_loop_grid_transform(fresh, m, beta, targets, rules[beta])
-            assert apply_transform(f, m, beta, targets, rules[beta]) == ref  # bitwise
-        assert f._projection(rules[beta], beta) is f._projection(rules[beta], beta)
-
-    def test_raise_leaves_projection_valid(self, rules):
-        beta, m = 1.0, 4
-        values = self.INPUTS["gauss"](beta, self.GRID)
-        f = SampledFunction(kind="grid", beta=beta, x=self.GRID, values=values)
-        with pytest.raises(ConvergenceError):
-            apply_transform(f, m, beta, self.TARGETS[1], rules[beta], SeriesControl(max_terms=6))
-        assert len(f._projection(rules[beta], beta).done) == 7
-        ref = _one_loop_grid_transform(f, m, beta, self.TARGETS[1], rules[beta])
-        assert apply_transform(f, m, beta, self.TARGETS[1], rules[beta]) == ref
-
-    def test_alternating_rules(self, rules):
-        beta, m = 1.0, 2
-        coarse = np.linspace(-5.0, 5.0, 41)
-        other = QuadratureRule("truncated_line", coarse, omega_weight(coarse, beta) * (coarse[1] - coarse[0]))
-        values = self.INPUTS["gauss"](beta, self.GRID)
-        f = SampledFunction(kind="grid", beta=beta, x=self.GRID, values=values)
-        refs = {id(rule): _one_loop_grid_transform(f, m, beta, self.TARGETS[1], rule) for rule in (rules[beta], other)}
-        assert refs[id(other)] != refs[id(rules[beta])]
-        for rule in (rules[beta], other, rules[beta], other):
-            assert apply_transform(f, m, beta, self.TARGETS[1], rule) == refs[id(rule)]
-            assert f._projection(rule, beta).rule is rule
-
-    def test_threads_share_one_projection(self, rules):
-        # four threads extend one fresh projection at once; a lost or doubled
-        # term would shift every later d_n
-        beta, m = 0.0, 5
-        values = self.INPUTS["gauss"](beta, self.GRID)
-        ref = _one_loop_grid_transform(SampledFunction(kind="grid", beta=beta, x=self.GRID, values=values),
-                                       m, beta, self.TARGETS[1], rules[beta])
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                f = SampledFunction(kind="grid", beta=beta, x=self.GRID, values=values)
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    futures = [pool.submit(apply_transform, f, m, beta, self.TARGETS[1], rules[beta]) for _ in range(8)]
-                    results = [fut.result(timeout=60) for fut in futures]
-                assert all(r == ref for r in results)
-        finally:
-            sys.setswitchinterval(interval)

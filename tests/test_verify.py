@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cstk import coherent, poly2d, transforms, verify
+from cstk.errors import NumericError
 
 # the named (error, tolerance) pairs of each report, in order
 PAIRS = {
@@ -84,6 +85,19 @@ class TestReducedChecks:
     def test_kernel_reduction(self):
         rep = verify.check_kernel_reduction(mmax=3, samples=20)
         assert rep.passed
+
+    @pytest.mark.parametrize("seed", [26, 30])
+    def test_kernel_reduction_counts_expected_raises(self, seed):
+        # these seeds draw one point in the opposite-sign corner of |z|, |x| <= 3
+        # where kernel_B's estimate passes 1e-10 and the call raises
+        rep = verify.check_kernel_reduction(seed=seed)
+        assert rep.passed
+        assert len(rep.details["expected_raises"]) == 1
+        m, re_z, im_z, x = rep.details["expected_raises"][0]
+        with pytest.raises(NumericError, match="misses 1e-10"):
+            transforms.kernel_B(m, 0.0, complex(re_z, im_z), x)
+        assert re_z * x < 0
+        json.dumps(rep.to_dict())
 
     def test_overlap(self):
         rep = verify.check_overlap(mmax=2, samples=3, betas=(0.5,))

@@ -100,8 +100,8 @@ class SampledFunction:
             phis = itertools.chain.from_iterable(_phi_rows(self.beta, x))
             return sum((a * phi for a, phi in zip(self.coeffs, phis)), np.zeros(len(x), complex))
         knots, c = self._spline
-        i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
-        t = x - knots[i]
+        i = np.searchsorted(knots[1:-1], x, side="right")  # the piece of x; the end pieces reach outward
+        t = (x - knots[i]).astype(c.real.dtype)  # cast once, not at each long-double step
         out = (((c[0, i] * t + c[1, i]) * t + c[2, i]) * t + c[3, i]).astype(complex)
         out[(x < knots[0]) | (x > knots[-1])] = 0.0  # zero outside the grid
         return out

@@ -18,14 +18,13 @@ quadrature side.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericError
+from .errors import NumericError
 from .poly2d import _EPS_LD, _p_rows, _row_sum
-from .specfun import DEFAULT_CONTROL, SeriesControl, _require_beta, _require_finite, gamma_fn
+from .specfun import DEFAULT_CONTROL, SeriesControl, _kummer_series, _require_beta, _require_finite, gamma_fn
 
 __all__ = [
     "CoherentSpec",
@@ -74,25 +73,15 @@ def norm_closed_m0(beta: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) 
 
 
 def _m0_series(t, beta: float, ctl: SeriesControl, scale: float = 1.0) -> complex:
-    """S(t) / scale, S(t) = sum_n t^n / (beta+1)_n, in long double: as it stands where
-    Re t >= 0, and where Re t < 0, whose terms alternate, as Kummer's
-    e^t sum_k (beta)_k/(beta+1)_k (-t)^k/k! (DLMF 13.2.39).  Raises NumericError where
-    eps_ld sum |term| exceeds _M0_TARGET of the sum or the value leaves the normal float64 range.
-    """
+    """S(t) / scale, S(t) = M(1; beta+1; t), by specfun._kummer_series in long double, as Kummer's
+    e^t M(beta; beta+1; -t) (DLMF 13.2.39) where Re t < 0; raises NumericError where eps_ld sum |term|
+    exceeds _M0_TARGET of the sum or the value leaves the normal float64 range."""
     t, b = np.clongdouble(t), np.longdouble(beta)
     kummer = t.real < 0
-    x = -t if kummer else t
-    term, prev, total, absum = np.clongdouble(1), math.inf, 0, 0
-    for k in range(ctl.max_terms + 1):
-        total, mag = total + term, abs(term)
-        absum += mag
-        if k >= 2 and max(mag, prev) <= ctl.rel_tol * abs(total):
-            break
-        prev = mag
-        term = term * x * (b + k) / ((b + 1 + k) * (k + 1)) if kummer else term * x / (b + 1 + k)
-    else:
-        raise ConvergenceError(f"the m=0 series not converged in {ctl.max_terms} terms at t={complex(t)}")
-    value = (total * np.exp(t) if kummer else total) / np.longdouble(scale)
+    pair, y, ln_factor = ((b, b + 1), -t, t) if kummer else ((1, b + 1), t, 0)  # e^t 2^e in one exponential
+    sums, absums, (e,) = _kummer_series((pair,), np.array([y]), ctl.max_terms)
+    total, absum = sums[0, 0], absums[0, 0]
+    value = total * np.exp(ln_factor + e * np.log(np.longdouble(2))) / np.longdouble(scale)
     if _EPS_LD * absum > _M0_TARGET * abs(total) or not np.finfo(float).tiny <= abs(value) <= np.finfo(float).max:
         raise NumericError(f"the m=0 series misses {_M0_TARGET:g} or the float64 range at beta={beta}, t={complex(t)}")
     return complex(value)

@@ -202,14 +202,8 @@ def _p_rows(m: int, beta: float, w, block: int | None = None):
     if w.size == 1:
         u = u[0]  # a numpy scalar: the real steps of the start cost ~7x less and round alike
     poch_m = np.prod(real(beta) + np.arange(1, m + 1, dtype=real))  # (beta+1)_m
-    head = _head_rows(m, beta, w.reshape(-1), u, poch_m)
-    if size == 1:
-        yield from (row.reshape((1,) + w.shape) for row in head)
-    else:
-        head = np.array(list(head), dtype=w.dtype).reshape((m,) + w.shape)
-        whole = m - m % size
-        for n in range(0, whole, size):
-            yield head[n : n + size]
+    head, whole = _head_rows(m, beta, w, u, poch_m), m - m % size
+    yield from (head[n : n + size] for n in range(0, whole, size))
     # the factors of row m, made once the head is taken: a short sum may not need them
     mono = (-1) ** m * np.sqrt(real(math.factorial(m)) / poch_m) * np.ones_like(w)
     lag = np.array(list(itertools.islice(_laguerre_rows(beta, u), m + 1))).reshape((m + 1,) + w.shape)  # L_k^(beta)
@@ -229,19 +223,17 @@ def _p_rows(m: int, beta: float, w, block: int | None = None):
 
 
 def _head_rows(m: int, beta: float, w, u, poch_m):
-    """Generator of the rows n < m of _p_rows at the points of the 1-D array w, with
-    u = |w|^2 (an array of its shape or, at one point, a numpy scalar) and
-    poch_m = (beta+1)_m: (-1)^n sqrt(n! / poch_m) wbar^{m-n} D_n, the powers of wbar
-    from one running product and D_n from _head_laguerre.  The complex products stay
-    on arrays: numpy's complex scalar multiply rounds apart from its array loop."""
-    real = w.real.dtype.type
-    powers = []  # wbar^j at j - 1, j = 1..m
-    for _ in range(m):
-        powers.append(powers[-1] * powers[0] if powers else np.conj(w))
+    """Rows n < m of _p_rows, (-1)^n sqrt(n! / poch_m) wbar^{m-n} D_n, in one (m,) + w.shape array, built in
+    place: wbar^{m-n} as a running product up from row m-1 = wbar, then the scale and D_n(u) of _head_laguerre.
+    The rows of head.reshape(m, w.size) are arrays at a scalar w too: numpy's complex scalar multiply rounds apart."""
+    head = np.empty((m,) + w.shape, w.dtype)
+    rows, real = head.reshape(m, w.size), w.real.dtype.type
+    rows[m - 1 :] = np.conj(w).reshape(-1)  # no row at m = 0
+    for n in range(m - 2, -1, -1):
+        np.multiply(rows[n + 1], rows[-1], out=rows[n])
     for n, lag in zip(range(m), _head_laguerre(m, beta, u)):
-        row = powers[m - 1 - n]  # read once, so the row takes its memory: a third of the head's time at 10 000 points
-        row *= (-1) ** n * np.sqrt(real(math.factorial(n)) / poch_m) * lag
-        yield row
+        rows[n] *= (-1) ** n * np.sqrt(real(math.factorial(n)) / poch_m) * lag
+    return head
 
 
 def _head_laguerre(m: int, beta: float, u):

@@ -1,8 +1,8 @@
 """Scalar special functions used throughout the toolkit.
 
-Gamma/Pochhammer plumbing, Laguerre polynomials for every real parameter
-and SeriesControl, the budget every infinite sum of the toolkit runs under:
-hitting ``max_terms`` raises ConvergenceError rather than silently
+Gamma/Pochhammer plumbing, Laguerre polynomials for every real parameter, Kummer's
+series 1F1 and SeriesControl, the budget every infinite sum of the toolkit runs
+under: hitting ``max_terms`` raises ConvergenceError rather than silently
 truncating.  pFq, the Hermite recurrences, Mittag-Leffler and the Lauricella
 series that the checks compare against live in oracles.
 """
@@ -10,13 +10,14 @@ series that the checks compare against live in oracles.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import ConvergenceError, PoleError
 
 __all__ = [
     "SeriesControl",
@@ -32,8 +33,8 @@ __all__ = [
 class SeriesControl:
     """Truncation policy for infinite summations.
 
-    rel_tol bounds the acceptable tail relative to the partial sum, max_terms
-    is the budget per summation index.
+    rel_tol bounds the acceptable tail relative to the partial sum, max_terms is the budget per index;
+    the m=0 Kummer series stop on a proven tail bound and budget only growing terms (default: |t| < 513).
     """
 
     rel_tol: float = 1e-13
@@ -123,3 +124,54 @@ def laguerre(n: int, alpha: float, t):
     if t.dtype.kind not in "fc":
         t = t.astype(float)
     return next(itertools.islice(_laguerre_rows(alpha, t[()]), n, None))
+
+
+_KUMMER_BLOCK = 32  # series terms per cumprod step
+_KUMMER_RESCALE = 256  # binary exponent above which the sums are divided by a power of two
+
+
+@functools.lru_cache(maxsize=256)
+def _kummer_factors(pairs: tuple, real, k0: int):
+    """The factors (a+k) / ((b+k)(k+1)), k = k0 .. k0+31, of the term ratios of each pair (a, b),
+    shape (len(pairs), 1, 32), and whether k0 + 32 >= -a, shape (len(pairs), 1)."""
+    a, b = (np.array(v, real)[:, None, None] for v in zip(*pairs))
+    k = np.arange(_KUMMER_BLOCK, dtype=real)
+    factors, settled = (a + k0 + k) / ((b + k0 + k) * (k0 + k + 1)), k0 + _KUMMER_BLOCK >= -a[:, 0]
+    factors.flags.writeable = settled.flags.writeable = False  # one copy for every call with these pairs
+    return factors, settled
+
+
+def _kummer_series(pairs, y, max_terms: int | None = None):
+    """Kummer's M(a, b, y) = sum_k (a)_k y^k / ((b)_k k!) for each (a, b) of the tuple pairs, 0 <= a+k <= b+k
+    past k = -a, at the points of a 1-D array y (real, or complex with Re y >= 0) in its precision: the
+    (len(pairs), len(y)) sums and sums of |term|, both divided by 2^e (exact; e > 0 once a |term| reaches
+    2^256), and the exponents e.  One cumprod of the ratios (a+k) y / ((b+k)(k+1)) per block; past k = -a
+    they are below q = |y|/(k+1) in modulus, so a point stops once |last term| q/(1-q) <= eps sum|term| in
+    every series.  A block starting at k > max_terms raises ConvergenceError where |y| >= k + 1 (terms grow)."""
+    real, count, size = y.real.dtype.type, len(pairs), len(y)
+    sums, absums, expo = np.empty((count, size), y.dtype), np.empty((count, size), real), np.zeros(size, int)
+    live, y_live, ay, e, one = np.arange(size), y, np.abs(y), np.zeros(size, int), real(1)
+    total = absum = last = one  # the term k = 0; arrays of shape (len(pairs), len(y)) after a block
+    for k0 in itertools.count(0, _KUMMER_BLOCK):
+        if not live.size:
+            return sums, absums, expo
+        if max_terms is not None and k0 > max_terms and (ay >= k0 + 1).any():
+            raise ConvergenceError(f"the Kummer series not converged in {max_terms} terms at |y|={float(ay.max()):g}")
+        factors, settled = _kummer_factors(pairs, real, k0)  # ufunc methods below: the calls are the cost
+        terms = np.multiply.accumulate(factors * y_live[:, None], axis=-1) * last[..., None]
+        mags = np.abs(terms)
+        total, absum = total + np.add.reduce(terms, -1), absum + np.add.reduce(mags, -1)
+        last, mags = terms[..., -1], mags[..., -1]
+        if np.maximum.reduce(mags, None) >= 2.0**_KUMMER_RESCALE:
+            shift = np.frexp(np.maximum.reduce(mags, 0))[1]
+            shift[shift <= _KUMMER_RESCALE] = 0
+            scale = np.ldexp(one, -shift)
+            total, absum, last, mags, e = total * scale, absum * scale, last * scale, mags * scale, e + shift
+        q = np.minimum(ay / real(k0 + _KUMMER_BLOCK + 1), one)  # at q = 1 only a zero term passes
+        tail_ok = mags * q <= np.finfo(real).eps * absum * (one - q)
+        done = np.logical_and.reduce(tail_ok & settled, 0)
+        if live.size == size and np.logical_and.reduce(done, None):  # every point at once
+            return total, absum, e
+        if done.any():
+            sums[:, live[done]], absums[:, live[done]], expo[live[done]] = total[:, done], absum[:, done], e[done]
+            live, y_live, ay, e, total, absum, last = (v[..., ~done] for v in (live, y_live, ay, e, total, absum, last))

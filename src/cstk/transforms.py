@@ -36,7 +36,7 @@ from .errors import ConvergenceError, NumericError
 from .formats import parse_complex
 from .poly2d import _block_len, _p_rows, _row_sum
 from .quadrature import QuadratureRule
-from .specfun import DEFAULT_CONTROL, SeriesControl, _require_beta, _require_finite, gamma_fn, rgamma
+from .specfun import DEFAULT_CONTROL, SeriesControl, _kummer_series, _require_beta, _require_finite, gamma_fn, rgamma
 
 __all__ = [
     "SampledFunction",
@@ -211,41 +211,6 @@ def load_sampled(path) -> SampledFunction:
     raise ValueError("file did not declare its kind")
 
 
-_KUMMER_BLOCK = 32  # series terms per cumprod step
-_KUMMER_RESCALE = 256  # binary exponent above which the sums are divided by a power of two
-
-
-def _kummer_pair(beta: float, y: np.ndarray):
-    """M((1-beta)/2, 1/2, y) and M(1-beta/2, 3/2, y) at the points y >= 0 of a 1-D
-    array, in its dtype: the (2, len(y)) sums divided by 2^e, and e.  One cumprod
-    of the ratios (a+k) y / ((b+k)(k+1)) per block of terms; past k = -a they lie
-    in [0, q), q = y/(k+1), so a point stops once |last term| q/(1-q) is at most
-    eps sum|term| in both series: the term count follows y."""
-    dtype = y.dtype
-    a = np.array([(1 - beta) / 2, 1 - beta / 2], dtype)[:, None, None]
-    b = np.array([0.5, 1.5], dtype)[:, None, None]
-    k = np.arange(_KUMMER_BLOCK, dtype=dtype)
-    out, expo, live, y_live = np.empty((2, len(y)), dtype), np.zeros(len(y), dtype=int), np.arange(len(y)), y
-    total = absum = last = np.ones((2, len(y)), dtype)
-    e = np.zeros_like(expo)
-    for k0 in itertools.count(0, _KUMMER_BLOCK):
-        if not live.size:
-            return out, expo
-        ratios = (a + k0 + k) / ((b + k0 + k) * (k0 + k + 1)) * y_live[:, None]
-        terms = np.cumprod(ratios, axis=-1) * last[..., None]
-        total, absum, last = total + terms.sum(axis=-1), absum + np.abs(terms).sum(axis=-1), terms[..., -1]
-        shift = np.frexp(np.max(np.abs(last), axis=0))[1]
-        shift = np.where(shift > _KUMMER_RESCALE, shift, 0)  # exact: a power of two, mostly 2^0
-        total, absum, last, e = np.ldexp(total, -shift), np.ldexp(absum, -shift), np.ldexp(last, -shift), e + shift
-        q = y_live / (k0 + _KUMMER_BLOCK + 1)
-        below_eps = np.abs(last) * q <= np.finfo(dtype).eps * absum * (1 - q)
-        tail_ok = (k0 + _KUMMER_BLOCK >= -a[:, 0]) & (q < 1) & below_eps
-        done = np.all((last == 0) | tail_ok, axis=0)
-        if done.any():
-            out[:, live[done]], expo[live[done]] = total[:, done], e[done]
-            live, y_live, e, total, absum, last = (v[..., ~done] for v in (live, y_live, e, total, absum, last))
-
-
 def omega_weight(x, beta: float):
     """Orthogonality weight of the associated Hermite basis,
 
@@ -280,7 +245,7 @@ def _omega_kummer(x: np.ndarray, beta: float) -> np.ndarray:
     ln_bound = beta * np.log(2.0 * np.maximum(x2, beta)) - x2 - math.log(math.sqrt(math.pi)) - math.lgamma(beta + 1.0)
     live = (x2 < beta) | (ln_bound >= -340.0 * math.log(10.0))  # weights below 1e-340 round to 0.0
     out, x = np.zeros_like(x), x[live]
-    (m_a, m_b), e = _kummer_pair(beta, x * x)
+    (m_a, m_b), _, e = _kummer_series((((1 - beta) / 2, 0.5), (1 - beta / 2, 1.5)), x * x)
     a = math.sqrt(math.pi) * rgamma((1.0 + beta) / 2.0) * m_a
     b = 2.0 * math.sqrt(math.pi) * rgamma(beta / 2.0) * x * m_b
     scale = np.exp(x * x - 2 * e * np.log(x.dtype.type(2.0)))  # e^{x^2} / 2^{2e}

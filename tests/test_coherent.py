@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,35 @@ class TestNormalization:
             spec = CoherentSpec(z=z, idx_m=m, beta=beta)
             ref = closed_bracket(z, z, m, beta)
             assert norm_series(spec) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.3])
+    def test_closed_m0_against_mpmath(self, beta):
+        # the two-term stop it replaced was 1.4-1.8e-13 off at t = 400 and 2.2-2.5e-13 at t = 700
+        for t in [1.0, 9.0, 100.0, 400.0, 700.0]:
+            ctl = SeriesControl(max_terms=2000) if t > 500 else SeriesControl()
+            with mp.workdps(60):
+                ref = mp.exp(t) if beta == 0 else mp.exp(t) * mp.hyp1f1(beta, beta + 1, -t)
+                assert abs(norm_closed_m0(beta, t, ctl) - ref) <= 2e-14 * ref, (beta, t)
+
+    def test_closed_m0_ignores_rel_tol(self):
+        # the sum stops on its proven tail bound, not on rel_tol
+        loose = SeriesControl(rel_tol=1e-3)
+        for t in [0.0, 0.7, 9.0, -40.0, 300.0]:
+            assert norm_closed_m0(0.5, t, loose) == norm_closed_m0(0.5, t)
+        assert kernel_K(2 + 1j, 1 - 3j, 1.3, loose) == kernel_K(2 + 1j, 1 - 3j, 1.3)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.3])
+    def test_closed_m0_reach(self, beta):
+        # max_terms bounds the terms summed while they grow: at the default 500, t < 513
+        # returns (the two-term stop raised past t = 355-357), and t >= 513 raises
+        for t in [355.0, 512.0, -512.0]:
+            assert math.isfinite(norm_closed_m0(beta, t))
+        for t in [513.0, 800.0]:
+            with pytest.raises(ConvergenceError):
+                norm_closed_m0(beta, t)
+        with pytest.raises(ConvergenceError):
+            kernel_K(9.0, 9.0, beta, SeriesControl(max_terms=50))  # t = 81 >= 64 + 1
+        assert math.isfinite(kernel_K(8.0, 8.0, beta, SeriesControl(max_terms=50)).real)  # t = 64
 
     def test_budget_error(self):
         spec = CoherentSpec(z=2.0 + 0j, idx_m=0, beta=0.0, truncation=SeriesControl(max_terms=2))
@@ -212,6 +242,20 @@ class TestKernel:
         for beta, zr, zi, wr, wi, kr, ki in REFERENCE["kernel_K"]:
             ref = complex(kr, ki)
             assert abs(kernel_K(complex(zr, zi), complex(wr, wi), beta) - ref) <= 1e-12 * abs(ref)
+
+    def test_raises_where_the_two_term_stop_did(self):
+        # the same 1e-12 gate on eps sum|term|: raised points (index lists) as before the shared engine
+        for radius, expected in [(3.0, []), (6.0, [16, 24, 34, 37, 41, 71, 76, 82, 100, 109, 126, 142, 144, 179,
+                                                   180, 210, 217, 218, 227, 230, 233, 234, 246, 273, 286, 288])]:
+            rng = np.random.default_rng(27)
+            pts = radius * np.sqrt(rng.uniform(size=(2, 300))) * np.exp(2j * np.pi * rng.uniform(size=(2, 300)))
+            raised = []
+            for i, (z, w, beta) in enumerate(zip(*pts, rng.choice([0.0, 0.5, 1.3, 2.3], size=300))):
+                try:
+                    kernel_K(complex(z), complex(w), float(beta))
+                except NumericError:
+                    raised.append(i)
+            assert raised == expected, radius
 
     def test_cancellation_raises(self):
         # z wbar = 32i: |term| sums to 8e13 times the value; the Kummer route was 9e-8 off with no error

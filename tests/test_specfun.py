@@ -9,7 +9,9 @@ from scipy.integrate import quad
 
 from cstk.errors import ConvergenceError, PoleError
 from cstk.oracles import assoc_hermite, hermite, hyp_pfq, lauricella_triple, mittag_leffler
-from cstk.specfun import SeriesControl, gamma_fn, laguerre, pochhammer
+from cstk.specfun import SeriesControl, _kummer_series, gamma_fn, laguerre, pochhammer
+
+EPS_LD = float(np.finfo(np.longdouble).eps)
 
 
 class TestGamma:
@@ -280,3 +282,73 @@ class TestSeriesControl:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SeriesControl(**kwargs)
+
+
+def _mp_exact(x):
+    """A long double, real or complex, as the exact mpmath number: float64 head plus float64 rest."""
+    x = np.clongdouble(x)
+    parts = []
+    for v in (x.real, x.imag):
+        head = float(v)
+        parts.append(mp.mpf(head) + float(v - np.longdouble(head)))
+    return mp.mpc(*parts)
+
+
+class TestKummerSeries:
+    """specfun._kummer_series, the one 1F1 engine: S(t) = M(1; beta+1; t), its Kummer side
+    M(beta; beta+1; -t) and the two series of omega_beta."""
+
+    @staticmethod
+    def _error(a, b, y):
+        """The engine's M(a, b, y) against 60-digit mpmath at one point: its error and
+        sum (k+1) |t_k|, both over sum |t_k| of the exact terms, which its sum of |term| matches."""
+        sums, absums, e = _kummer_series(((a, b),), np.array([y]))
+        with mp.workdps(60):
+            a, b, y = (_mp_exact(v) for v in (a, b, y))
+            scale = mp.ldexp(1, int(e[0]))
+            err = abs(_mp_exact(sums[0, 0]) * scale - mp.hyp1f1(a, b, y))
+            term, k, plain, weighted = mp.mpf(1), 0, mp.mpf(0), mp.mpf(0)
+            while k <= abs(y) + 10 or abs(term) > 1e-40 * plain:
+                plain, weighted = plain + abs(term), weighted + (k + 1) * abs(term)
+                term, k = term * (a + k) * y / ((b + k) * (k + 1)), k + 1
+            assert abs(_mp_exact(absums[0, 0]).real * scale - plain) <= 1e-15 * plain
+            return float(err / plain), float(weighted / plain)
+
+    def _assert_within_rounding(self, a, b, y):
+        # term k carries the roundings of k ratio steps, a few eps each: eps sum|t_k| alone is
+        # not a bound (the error reaches 25 times it at y = 700), 5 eps sum (k+1)|t_k| is
+        err, weighted = self._error(a, b, y)
+        assert err <= 5 * EPS_LD * weighted, (a, b, y, err / EPS_LD, weighted)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.3])
+    @pytest.mark.parametrize("t", [0.5, 9.0, 60.0, 400.0, 700.0, 3 + 4j, 20j, 15 - 25j, 30 + 10j])
+    def test_m0_series_within_rounding(self, beta, t):
+        b = np.longdouble(beta)
+        y = np.clongdouble(t) if isinstance(t, complex) else np.longdouble(t)
+        self._assert_within_rounding(np.longdouble(1), b + 1, y)  # S(t) as it stands
+        if beta and not isinstance(t, complex):
+            self._assert_within_rounding(b, b + 1, y)  # Kummer's side at -y
+
+    @pytest.mark.parametrize("beta", [0.5, 1.7, 3.5, 10.0])
+    @pytest.mark.parametrize("x", [0.5, 3.5, 8.0, 12.0])
+    def test_omega_pairs_within_rounding(self, beta, x):
+        y = np.longdouble(x) * np.longdouble(x)
+        for a, b in (((1 - beta) / 2, 0.5), (1 - beta / 2, 1.5)):
+            self._assert_within_rounding(np.longdouble(a), np.longdouble(b), y)
+
+    def test_points_are_independent(self):
+        # an array call stops each point where its own call stops
+        ys = np.array([0.0, 0.5, 40.0, 3.0, 700.0], dtype=np.longdouble)
+        sums, absums, e = _kummer_series(((0.25, 0.5), (0.75, 1.5)), ys)
+        for i, y in enumerate(ys):
+            one = _kummer_series(((0.25, 0.5), (0.75, 1.5)), ys[i : i + 1])
+            assert (one[0][:, 0].tolist(), one[1][:, 0].tolist(), one[2][0]) == (
+                sums[:, i].tolist(), absums[:, i].tolist(), e[i]), y
+
+    def test_budget_counts_growing_terms(self):
+        # past max_terms a block raises only while |y| >= k + 1; after that the tail is geometric
+        y = np.array([20.0, 40.0], dtype=np.longdouble)
+        with pytest.raises(ConvergenceError):
+            _kummer_series(((1, 2),), y, max_terms=5)
+        sums, _, e = _kummer_series(((1, 2),), y[:1], max_terms=5)
+        assert sums[0, 0] * 2.0 ** e[0] == pytest.approx(math.expm1(20.0) / 20.0, rel=1e-15)

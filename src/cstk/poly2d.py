@@ -168,14 +168,16 @@ def p_norm(idx: ModeIndex, z, measure: MomentMeasure | None = None):
     return val if val.ndim else val[()]
 
 
-_BLOCK = 16  # rows per numpy call where the rows sit at no more than this many points
+_FEW_POINTS = 16  # point count up to which a block of rows costs numpy call overhead, not arithmetic
+_BLOCK = 64  # rows per numpy call there: of 32, 64 and 128 the fastest on one- and two-point sums
 
 
 def _block_len(points: int) -> int:
-    """Rows per block for rows at ``points`` points: _BLOCK for a few points, where a
-    row costs numpy call overhead, else 1, where numpy's accumulate along a short
-    axis costs more than the rows it saves (13x for 8 rows at 10 000 points)."""
-    return _BLOCK if points <= _BLOCK else 1
+    """Rows per block for rows at ``points`` points: _BLOCK = 64 up to _FEW_POINTS = 16
+    points, where a block costs its numpy calls (about 2m + 25) whatever its length,
+    else 1, where numpy's accumulate along a short axis costs more than the rows it
+    saves (13x for 8 rows at 10 000 points)."""
+    return _BLOCK if points <= _FEW_POINTS else 1
 
 
 def _p_rows(m: int, beta: float, w, block: int | None = None):
@@ -190,8 +192,10 @@ def _p_rows(m: int, beta: float, w, block: int | None = None):
     L_k^(beta), k = 0..m, of specfun.laguerre's degree recurrence, from which
     row to row L_k^(alpha+1) = sum_{j<=k} L_j^(alpha).  Yields blocks of
     ``block`` consecutive rows, shape (block,) + w.shape (default
-    _block_len(w.size)): one row steps the factors in place, a longer block
-    takes the same products and sums in the same order (_tail_rows).  At one
+    _block_len(w.size): 64 rows at up to 16 points, else 1): one row steps the
+    factors in place, a longer block takes the same products and sums in the
+    same order (_tail_rows).  The head rows are freed before the tail's factors
+    are made, the last head block yielded as a copy.  At one
     point the start's real steps run on numpy scalars, so one point gets the
     rows it gets inside any array, bit for bit.
     """
@@ -203,7 +207,10 @@ def _p_rows(m: int, beta: float, w, block: int | None = None):
         u = u[0]  # a numpy scalar: the real steps of the start cost ~7x less and round alike
     poch_m = np.prod(real(beta) + np.arange(1, m + 1, dtype=real))  # (beta+1)_m
     head, whole = _head_rows(m, beta, w, u, poch_m), m - m % size
-    yield from (head[n : n + size] for n in range(0, whole, size))
+    for n in range(0, whole, size):  # the last block a copy: a row the consumer holds does not keep the head
+        yield head[n : n + size] if n + size < whole else head[n : n + size].copy()
+    rest = head[whole:].copy()
+    del head  # freed before the tail's factors are made
     # the factors of row m, made once the head is taken: a short sum may not need them
     mono = (-1) ** m * np.sqrt(real(math.factorial(m)) / poch_m) * np.ones_like(w)
     lag = np.array(list(itertools.islice(_laguerre_rows(beta, u), m + 1))).reshape((m + 1,) + w.shape)  # L_k^(beta)
@@ -216,7 +223,7 @@ def _p_rows(m: int, beta: float, w, block: int | None = None):
     n = m + (-m) % size  # the first row of a block that holds no head row
     if n > m:
         rows, mono, lag = _tail_rows(m, beta, w, m, n - m, mono, lag)
-        yield np.concatenate((head[whole:], rows))
+        yield np.concatenate((rest, rows))
     for n in itertools.count(n, size):
         rows, mono, lag = _tail_rows(m, beta, w, n, size, mono, lag)
         yield rows

@@ -66,6 +66,11 @@ class TestEval:
         assert code == 0
         assert get_value(out, "omega_beta(x)").real == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-13)
 
+    def test_weight_past_its_target_exits_3(self, capsys):
+        # printed 0.007235 with exit 0 before (mp.pcfd: 0.04199)
+        code, out = run(capsys, "eval", "weight", "--beta", "100", "--x", "5")
+        assert code == 3 and out == ""
+
     def test_weight_rejects_negative_beta(self, capsys):
         # printed -0.0142365 with exit 0 before
         code, out = run(capsys, "eval", "weight", "--beta", "-1.5", "--x", "1")

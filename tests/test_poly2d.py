@@ -15,6 +15,7 @@ from cstk.oracles import ito_hermite
 from cstk.poly2d import (
     _EPS_LD,
     ModeIndex,
+    _block_len,
     _head_laguerre,
     _p_rows,
     _row_sum,
@@ -252,8 +253,12 @@ row_cases = st.tuples(
 )
 
 
+BLOCKS = sorted({16, _block_len(1)})  # the lengths of a block of rows under test besides one row
+
+
 class TestRowBlocks:
-    """_p_rows and _row_sum a block of rows at a time against one row at a time."""
+    """_p_rows and _row_sum a block of rows at a time against one row at a time,
+    at 16 rows and at the default length of a few points."""
 
     @staticmethod
     def _points(shape, pts, dtype):
@@ -264,17 +269,19 @@ class TestRowBlocks:
     def test_blocks_match_single_rows(self, case, dtype):
         m, beta, shape, pts = case
         w = self._points(shape, pts, dtype)
-        single = np.concatenate(list(itertools.islice(_p_rows(m, beta, w, 1), 48)))
-        blocks = list(itertools.islice(_p_rows(m, beta, w, 16), 3))
-        assert all(b.shape == (16,) + shape for b in blocks)
-        rows = np.concatenate(blocks)
-        if dtype == np.clongdouble:
-            assert np.array_equal(rows, single)
-        else:
-            # numpy's complex128 multiply may round a product differently in its
-            # vector and its accumulate loops: at most one ulp per monomial step
-            steps = np.maximum(np.arange(48) - m, 0).reshape((48,) + (1,) * len(shape))
-            assert np.all(np.abs(rows - single) <= steps * np.finfo(float).eps * np.abs(single))
+        single = np.concatenate(list(itertools.islice(_p_rows(m, beta, w, 1), 3 * max(BLOCKS))))
+        for block in BLOCKS:
+            blocks = list(itertools.islice(_p_rows(m, beta, w, block), 3))
+            assert all(b.shape == (block,) + shape for b in blocks)
+            rows = np.concatenate(blocks)
+            if dtype == np.clongdouble:
+                assert np.array_equal(rows, single[: 3 * block])
+            else:
+                # numpy's complex128 multiply may round a product differently in its
+                # vector and its accumulate loops: at most one ulp per monomial step,
+                # over the first 48 rows, which stay in the normal float64 range
+                steps = np.maximum(np.arange(48) - m, 0).reshape((48,) + (1,) * len(shape))
+                assert np.all(np.abs(rows[:48] - single[:48]) <= steps * np.finfo(float).eps * np.abs(single[:48]))
 
     @given(row_cases, st.sampled_from([np.complex128, np.clongdouble]))
     @settings(max_examples=60, deadline=None)
@@ -282,15 +289,15 @@ class TestRowBlocks:
         m, beta, shape, pts = case
         w = self._points(shape, pts, dtype)
         u = (w * np.conj(w)).real
-        lag = np.array([laguerre(k, beta, u) for k in range(m + 1)])
-        ref = lag.copy()
-        mono = np.ones_like(w)
-        for n in range(m, m + 48, 16):
-            _, mono, lag = _tail_rows(m, beta, w, n, 16, mono, lag)
-            for _ in range(16):  # the one-row step
-                for k in range(1, m + 1):
-                    ref[k] += ref[k - 1]
-            assert np.array_equal(lag, ref)
+        start = np.array([laguerre(k, beta, u) for k in range(m + 1)])
+        for block in BLOCKS:
+            lag, ref, mono = start, start.copy(), np.ones_like(w)
+            for n in range(m, m + 3 * block, block):
+                _, mono, lag = _tail_rows(m, beta, w, n, block, mono, lag)
+                for _ in range(block):  # the one-row step
+                    for k in range(1, m + 1):
+                        ref[k] += ref[k - 1]
+                assert np.array_equal(lag, ref)
 
     @given(row_cases)
     @settings(max_examples=60, deadline=None)
@@ -303,11 +310,11 @@ class TestRowBlocks:
 
         ctl = SeriesControl()
         ref, ref_est, taken = _reference_row_sum((t[0] for t in map(terms, _p_rows(m, beta, w, 1))), m, ctl)
-        for block in (1, 16):
+        for block in [1] + BLOCKS:
             total, est = _row_sum(map(terms, _p_rows(m, beta, w, block)), m, ctl, "test series")
             assert np.array_equal(total, ref) and np.array_equal(est, ref_est)
         # the budget: a stop at n = max_terms succeeds, one row more raises
-        for block in (1, 16):
+        for block in [1] + BLOCKS:
             total, _ = _row_sum(map(terms, _p_rows(m, beta, w, block)), m, SeriesControl(max_terms=taken - 1), "s")
             assert np.array_equal(total, ref)
             with pytest.raises(ConvergenceError, match="s not converged in"):
@@ -409,7 +416,7 @@ class TestRowStart:
         if not shape:
             w = w[()]  # a numpy scalar, as kernel_B passes it
         head, mono, lag = _table_start(m, beta, w)
-        # rows n >= m: bit for bit, one row at a time (the step copied) and in blocks of 16 (_tail_rows)
+        # rows n >= m: bit for bit, one row at a time (the step copied) and in blocks (_tail_rows)
         single, ref_mono, ref_lag, w_arr = [], mono, lag.copy(), np.asarray(w)
         for n in range(m, m + 40):
             single.append(ref_mono * ref_lag[m])
@@ -419,14 +426,16 @@ class TestRowStart:
         rows = np.concatenate(list(itertools.islice(_p_rows(m, beta, w, 1), m + 40)))
         assert rows.dtype == dtype and rows.shape == (m + 40,) + np.shape(w)
         assert np.array_equal(rows[m:], np.array(single))
-        first = m + (-m) % 16
-        blocks = [_tail_rows(m, beta, w_arr, m, first - m, mono, lag)[0]] if first > m else []
-        ref_mono, ref_lag = (mono, lag) if first == m else _tail_rows(m, beta, w_arr, m, first - m, mono, lag)[1:]
-        for n in range(first, first + 32, 16):
-            block, ref_mono, ref_lag = _tail_rows(m, beta, w_arr, n, 16, ref_mono, ref_lag)
-            blocks.append(block)
-        rows16 = np.concatenate(list(itertools.islice(_p_rows(m, beta, w, 16), first // 16 + 2)))
-        assert np.array_equal(rows16[m:], np.concatenate(blocks))
+        in_blocks = []
+        for block in BLOCKS:
+            first = m + (-m) % block
+            blocks = [_tail_rows(m, beta, w_arr, m, first - m, mono, lag)[0]] if first > m else []
+            ref_mono, ref_lag = (mono, lag) if first == m else _tail_rows(m, beta, w_arr, m, first - m, mono, lag)[1:]
+            for n in range(first, first + 2 * block, block):
+                rows_n, ref_mono, ref_lag = _tail_rows(m, beta, w_arr, n, block, ref_mono, ref_lag)
+                blocks.append(rows_n)
+            in_blocks.append(np.concatenate(list(itertools.islice(_p_rows(m, beta, w, block), first // block + 2))))
+            assert np.array_equal(in_blocks[-1][m:], np.concatenate(blocks))
         # rows n < m: the same values to within a few ulp of their condition,
         # sqrt(n! / (beta+1)_m) |w|^{m-n} sum_j |term_j| (10.6 ulp at worst measured)
         real = w.real.dtype.type
@@ -435,22 +444,24 @@ class TestRowStart:
         for n in range(m):
             cond = np.sqrt(real(math.factorial(n)) / poch_m) * np.abs(w) ** (m - n) * laguerre(n, m - n + beta, -u)
             eps = np.finfo(real).eps
-            assert np.all(np.abs(rows[n] - head[n]) <= 16 * eps * cond)
-            assert np.all(np.abs(rows16[n] - head[n]) <= 16 * eps * cond)
+            for got in [rows] + in_blocks:
+                assert np.all(np.abs(got[n] - head[n]) <= 16 * eps * cond)
 
 
     @given(start_cases, st.sampled_from([1, 16]))
     @settings(max_examples=30, deadline=None)
     def test_one_point_rows_as_in_an_array(self, case, block):
         """At one point the start runs on numpy scalars: a scalar and a 1-point
-        array get the rows the point gets inside a 64-point array, bit for bit."""
+        array get the rows the point gets inside a 64-point array, bit for bit,
+        in blocks of ``block`` rows and of the default length at one point."""
         m, beta, _, pts, dtype = case
         w = np.array(pts, dtype=dtype)
-        rows = np.concatenate(list(itertools.islice(_p_rows(m, beta, w, block), 2 + 32 // block)))
-        for i in (0, 17, 63):
-            for one in (w[i], w[i : i + 1]):
-                got = np.concatenate(list(itertools.islice(_p_rows(m, beta, one, block), 2 + 32 // block)))
-                assert np.array_equal(got.reshape(len(rows)), rows[:, i])
+        for size in (block, _block_len(1)):
+            rows = np.concatenate(list(itertools.islice(_p_rows(m, beta, w, size), 2 + 32 // size)))
+            for i in (0, 17, 63):
+                for one in (w[i], w[i : i + 1]):
+                    got = np.concatenate(list(itertools.islice(_p_rows(m, beta, one, size), 2 + 32 // size)))
+                    assert np.array_equal(got.reshape(len(rows)), rows[:, i])
 
 class TestLandau:
     def test_constant_killed(self):

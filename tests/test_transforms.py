@@ -2,6 +2,7 @@ import cmath
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -11,14 +12,15 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from cstk.coherent import CoherentSpec, eta_density, kernel_K, norm_closed_m0, overlap_closed
+from cstk.coherent import CoherentSpec, eta_density, kernel_K, norm_closed_m0, norm_series, overlap_closed
 from cstk.measures import GammaMeasure
 from cstk.poly2d import ModeIndex, p_norm
 from cstk.quadrature import QuadratureRule, adaptive_line
+from cstk import poly2d as poly2d_module
 from cstk import transforms as transforms_module
 from cstk.errors import ConvergenceError, NumericError
 from cstk.oracles import assoc_hermite, kernel_B_mp, kernel_B_true_poly, lauricella_triple
-from cstk.specfun import SeriesControl, gamma_fn, pochhammer
+from cstk.specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, pochhammer
 from cstk.transforms import (
     SampledFunction,
     apply_transform,
@@ -93,6 +95,35 @@ class TestOmegaWeight:
                 d2 = abs(mp.pcfd(-b, 1j * mp.sqrt(2) * mp.mpf(float(x)))) ** 2
                 ref = float(1 / (mp.sqrt(mp.pi) * mp.gamma(b + 1) * d2))
                 assert abs(val - ref) <= 1e-14 * ref, (x, val, ref)  # exactly 0 where ref underflows
+
+    def test_cancelling_sums_raise(self):
+        # the rounding estimate of A^2 + B^2 over x in [0, 30]: at most 5.8e-15 at beta = 20,
+        # first past 1e-12 at beta = 30; omega_weight(5, 100) returned 0.007235 (mp.pcfd: 0.04199)
+        xs = np.linspace(0.0, 30.0, 301)
+        for beta in (20.0, 25.0):
+            assert np.all(np.isfinite(omega_weight(xs, beta)))
+        for beta in (30.0, 50.0, 100.0):
+            with pytest.raises(NumericError, match="omega_weight misses 1e-12"):
+                omega_weight(xs, beta)
+        with pytest.raises(NumericError, match="x=5.0"):
+            omega_weight(5.0, 100.0)
+
+    @pytest.mark.parametrize("beta", [30.0, 50.0, 100.0])
+    def test_large_beta_values_it_returns(self, beta):
+        # where the estimate passes, the value is within 1e-10 of 60-digit mpmath
+        returned = 0
+        with mp.workdps(60):
+            b = mp.mpf(beta)
+            for x in np.linspace(0.0, 30.0, 31):
+                try:
+                    val = omega_weight(x, beta)
+                except NumericError:
+                    continue
+                returned += 1
+                d2 = abs(mp.pcfd(-b, 1j * mp.sqrt(2) * mp.mpf(float(x)))) ** 2
+                ref = float(1 / (mp.sqrt(mp.pi) * mp.gamma(b + 1) * d2))
+                assert abs(val - ref) <= 1e-10 * ref, (x, val, ref)  # exactly 0 where ref underflows
+        assert returned > 0
 
     def test_scalar_calls_match_array_call(self):
         xs = np.array([-7.5, -3.2, 0.0, 1e-9, 0.8, 3.2, 3.5, 5.0, 7.0, 7.5, 12.0, 27.0])
@@ -386,6 +417,70 @@ class TestKernels:
         assert abs(kernel_B(m, beta, z, x) - ref) <= 1e-12 * abs(ref)
 
 
+class TestBlockLength:
+    """The public row sums with the rows made and summed 1, 16 or the default
+    number (poly2d._block_len) at a time: in long double the block length moves
+    no value, no stopping row and no raise."""
+
+    SUMS = [  # calls taking a SeriesControl, at one point and at two
+        lambda ctl: norm_series(CoherentSpec(1.3 - 0.7j, 4, 0.5, ctl)),
+        lambda ctl: norm_series(CoherentSpec(2.6 + 1.9j, 8, 2.3, ctl)),
+        lambda ctl: eta_density(2.1 + 0.4j, 8, 2.3, ctl),
+        lambda ctl: eta_density(np.array([2.1 + 0.4j, -0.3 + 1.1j]), 0, 1.7, ctl),
+        lambda ctl: overlap_closed(1.2 + 0.5j, -0.8 + 1.0j, 3, 1.7, ctl),
+        lambda ctl: overlap_closed(3.0, -2.9 + 0.2j, 0, 0.0, ctl),
+        lambda ctl: overlap_closed(6.0, -5.5 + 2.0j, 8, 2.3, ctl),  # past one block of 64 rows
+        lambda ctl: kernel_B(2, 0.5, 0.9 - 1.4j, 0.7, ctl),
+        lambda ctl: kernel_B(5, 1.0, -1.1 + 0.2j, np.array([-1.3, 2.2]), ctl),
+    ]
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return np.asarray(call())
+        except (ConvergenceError, NumericError) as exc:
+            return type(exc), str(exc)
+
+    def test_same_values_stops_and_raises(self, monkeypatch):
+        """Per block length (1, 16, the default), the outcome of every call: each sum at max_terms =
+        its stop and one short of it and at the default control, and the five points where kernel_B
+        misses its target at one x and two."""
+        assert poly2d_module._block_len(1) > 16
+        stops = []
+        for call in self.SUMS:  # the smallest max_terms that returns, by bisection
+            lo, hi = 0, DEFAULT_CONTROL.max_terms
+            while lo < hi:
+                mid = (lo + hi) // 2
+                returned = not isinstance(self._outcome(lambda: call(SeriesControl(max_terms=mid))), tuple)
+                lo, hi = (lo, mid) if returned else (mid + 1, hi)
+            stops.append(lo)
+        calls = [(call, SeriesControl(max_terms=n)) for call, stop in zip(self.SUMS, stops) for n in (stop, stop - 1)]
+        calls += [(call, DEFAULT_CONTROL) for call in self.SUMS]
+        for m, beta, z, x, _, _ in TestKernels.KERNEL_B_WRONG:
+            for xs in (x, np.array([0.5, x])):
+                calls.append((lambda ctl, m=m, beta=beta, z=z, xs=xs: kernel_B(m, beta, z, xs, ctl), DEFAULT_CONTROL))
+        outcomes = []
+        for length in (1, 16, None):
+            with monkeypatch.context() as patch:
+                if length is not None:
+                    for module in (poly2d_module, transforms_module):
+                        patch.setattr(module, "_block_len", lambda points, length=length: length)
+                outcomes.append([self._outcome(lambda: call(ctl)) for call, ctl in calls])
+        single, sixteen, default = outcomes
+        count = len(self.SUMS)
+        for got in (sixteen, default):
+            for ref, out in zip(single, got):
+                if isinstance(ref, tuple):
+                    assert out == ref
+                else:
+                    assert not isinstance(out, tuple) and out.dtype == ref.dtype and np.array_equal(out, ref)
+        kinds = [out[0] if isinstance(out, tuple) else None for out in single]
+        assert kinds[: 2 * count] == [None, ConvergenceError] * count  # the stop returns, one short raises
+        assert kinds[2 * count : 3 * count] == [None] * count
+        assert kinds[3 * count :] == [NumericError] * 2 * len(TestKernels.KERNEL_B_WRONG)
+        assert all(np.array_equal(a, b) for a, b in zip(single[: 2 * count : 2], single[2 * count : 3 * count]))
+
+
 class TestApplyTransform:
     def test_ground_state_is_constant_one(self, rules):
         f = SampledFunction(kind="coeffs", beta=0.0, coeffs=np.array([1.0]))
@@ -406,6 +501,32 @@ class TestApplyTransform:
             for v, z in zip(vals, targets):
                 ref = p_norm(ModeIndex(n, m, beta), z)
                 assert abs(v - ref) <= 1e-7 * max(abs(ref), 1.0)
+
+    def test_head_rows_freed_before_the_tail(self):
+        # 12 coefficients at m = 8 and 10 000 targets: the head rows (1.28 MB) were kept
+        # while the tail's factors were made, a 3.20 MB peak against 2.00 MB with no tail row
+        m, beta, count = 8, 0.5, 12
+        rng = np.random.default_rng(3)
+        targets = 3.0 * np.sqrt(rng.uniform(0.0, 1.0, 10_000)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 10_000))
+        coeffs = (0.8 - 0.6j) ** np.arange(count) / np.sqrt(np.arange(1, count + 1))
+        f = SampledFunction(kind="coeffs", beta=beta, coeffs=coeffs)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            vals = apply_transform(f, m, beta, targets)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2.2e6, peak
+        # the rows, all held at once, give the same sum bit for bit
+        rows = list(itertools.islice(transforms_module._p_rows(m, beta, targets, 1), count))
+        ref = np.zeros(len(targets), dtype=complex)
+        for a, row in zip(f.coeffs, rows):
+            ref += a * row[0]
+        assert vals == (ref / math.sqrt(gamma_fn(beta + 1.0))).tolist()
 
     def test_zero_function(self, rules):
         f = SampledFunction(kind="coeffs", beta=0.0, coeffs=np.array([0.0, 0.0]))

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import coherent, measures, oracles, poly2d, quadrature, transforms, verify
 from .errors import NumericError
-from .formats import format_complex, format_real, parse_complex
+from .formats import format_complex, format_real, parse_complex, read_data
 from .specfun import SeriesControl
 
 EXIT_OK = 0
@@ -70,6 +70,8 @@ def build_config(args) -> CliConfig:
     path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
     if path:
         cfg = replace(cfg, **_load_config_file(Path(path)))
+        if cfg.output_format not in ("json", "csv"):  # the choices of --format
+            raise ValueError(f"output_format must be json or csv, not {cfg.output_format!r}")
     for key in ("rel_tol", "max_terms", "seed"):
         val = getattr(args, key, None)
         if val is not None:
@@ -183,11 +185,7 @@ def cmd_verify(args, cfg: CliConfig) -> int:
 
 def cmd_transform(args, cfg: CliConfig) -> int:
     f = transforms.load_sampled(args.input)
-    targets = []
-    for raw in Path(args.targets).read_text().splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            targets.append(parse_complex(line))
+    targets = [parse_complex(z) for (z,) in read_data(args.targets, 1)[1]]
     rule = None  # a coefficient input maps exactly, with no rule
     if f.kind == "grid":
         rule = quadrature.adaptive_line(

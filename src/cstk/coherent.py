@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
 from .poly2d import _EPS_LD, _p_rows, _row_sum
-from .specfun import DEFAULT_CONTROL, SeriesControl, _kummer_series, _require_beta, _require_finite, gamma_fn
+from .specfun import DEFAULT_CONTROL, SeriesControl, _exit_check, _kummer_series, _require_beta, _require_finite, gamma_fn
 
 __all__ = [
     "CoherentSpec",
@@ -56,7 +55,7 @@ class CoherentSpec:
 
 def norm_series(spec: CoherentSpec) -> float:
     """Squared norm N = sum_n |c_n|^2 of the unnormalized coefficient vector,
-    the bracket on the diagonal.  Raises NumericError where N overflows float64."""
+    the bracket on the diagonal.  Leaves through specfun._exit_check: NumericError where N overflows float64."""
     return float(_norm(spec.z, spec.idx_m, spec.beta, spec.truncation))
 
 
@@ -65,7 +64,7 @@ def norm_closed_m0(beta: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) 
 
     Equals e^t 1F1(beta; beta+1; -t) and Gamma(beta+1) E_{1,beta+1}(t); the
     state built with coefficients zbar^n/sqrt((beta+1)_n) has norm S(t)^{1/2}.
-    Raises NumericError where S(t) leaves the float64 range.
+    Leaves through specfun._exit_check: NumericError past _M0_TARGET or the normal float64 range.
     """
     _require_beta(beta)
     _require_finite("t", t)
@@ -74,17 +73,18 @@ def norm_closed_m0(beta: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) 
 
 def _m0_series(t, beta: float, ctl: SeriesControl, scale: float = 1.0) -> complex:
     """S(t) / scale, S(t) = M(1; beta+1; t), by specfun._kummer_series in long double, as Kummer's
-    e^t M(beta; beta+1; -t) (DLMF 13.2.39) where Re t < 0; raises NumericError where eps_ld sum |term|
-    exceeds _M0_TARGET of the sum or the value leaves the normal float64 range."""
+    e^t M(beta; beta+1; -t) (DLMF 13.2.39) where Re t < 0; the exit check raises where eps_ld sum |term|
+    is not below _M0_TARGET of the sum or the value leaves the normal float64 range."""
     t, b = np.clongdouble(t), np.longdouble(beta)
     kummer = t.real < 0
     pair, y, ln_factor = ((b, b + 1), -t, t) if kummer else ((1, b + 1), t, 0)  # e^t 2^e in one exponential
     sums, absums, (e,) = _kummer_series((pair,), np.array([y]), ctl.max_terms)
     total, absum = sums[0, 0], absums[0, 0]
     value = total * np.exp(ln_factor + e * np.log(np.longdouble(2))) / np.longdouble(scale)
-    if _EPS_LD * absum > _M0_TARGET * abs(total) or not np.finfo(float).tiny <= abs(value) <= np.finfo(float).max:
-        raise NumericError(f"the m=0 series misses {_M0_TARGET:g} or the float64 range at beta={beta}, t={complex(t)}")
-    return complex(value)
+    value = value if abs(value) >= np.finfo(float).tiny else np.nan  # below the normal range digits are lost
+    return complex(_exit_check(
+        "the m=0 series", value, lambda i: f"beta={beta}, t={complex(t)}", _EPS_LD * absum, _M0_TARGET, abs(total)
+    ))
 
 
 def _norm(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
@@ -93,13 +93,11 @@ def _norm(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     of rows at a time.
 
     ``z`` may be a scalar or an array; returns real values of its shape.
-    Raises NumericError where N overflows float64 (|z| of about 27 and up).
+    The exit check raises NumericError where N overflows float64 (|z| of about 27 and up).
     """
     rows = _p_rows(m, beta, np.asarray(z, dtype=np.clongdouble))
     total = _bracket_sum((r * np.conj(r) for r in rows), m, beta, ctl).real
-    if np.any(total > np.finfo(float).max):
-        raise NumericError(f"the squared norm overflows float64 at m={m}, beta={beta}")
-    return total.astype(float)
+    return _exit_check("the squared norm", total, lambda i: f"m={m}, beta={beta}")
 
 
 def _bracket_sum(terms, m: int, beta: float, ctl: SeriesControl):
@@ -115,21 +113,23 @@ def overlap_closed(z: complex, w: complex, m: int, beta: float, ctl: SeriesContr
     """Normalized overlap of the states at z and w (row sum of the bracket).
 
     The brackets (z, w), (z, z) and (w, w) are evaluated in one call and
-    divided in long double, so the quotient is rounded once and stays finite
-    where N_z N_w overflows float64.  The diagonal overlap is exactly 1 by
-    construction of the normalization.
+    divided in long double by sqrt(N_z) sqrt(N_w), so the quotient is rounded once and stays
+    finite where N_z N_w overflows float64 or long double (|z| of about 75 and up).  The diagonal
+    overlap is exactly 1 by construction.  Leaves through specfun._exit_check (NumericError).
     """
     _require_beta(beta)
     _require_finite("z", z)
     _require_finite("w", w)
     rows = _p_rows(m, beta, np.array([z, w], dtype=np.clongdouble))  # one generator for both states
-    cross, nz, nw = _bracket_sum((r[:, [0, 0, 1]] * np.conj(r[:, [1, 0, 1]]) for r in rows), m, beta, ctl)
-    return complex(cross / np.sqrt(nz.real * nw.real))
+    with np.errstate(over="ignore", invalid="ignore"):  # the exit check raises there
+        cross, nz, nw = _bracket_sum((r[:, [0, 0, 1]] * np.conj(r[:, [1, 0, 1]]) for r in rows), m, beta, ctl)
+        value = cross / (np.sqrt(nz.real) * np.sqrt(nw.real))
+    return complex(_exit_check("overlap_closed", value, lambda i: f"m={m}, beta={beta}, z={z}, w={w}"))
 
 
 def kernel_K(z: complex, w: complex, beta: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
     """Reproducing kernel K_beta(z, w) = sum_n (z wbar)^n / Gamma(beta+n+1) = S(z wbar) / Gamma(beta+1).
-    Raises NumericError where the m=0 series misses _M0_TARGET = 1e-12 or the float64 range."""
+    Leaves through specfun._exit_check: NumericError past _M0_TARGET = 1e-12 or the normal float64 range."""
     _require_beta(beta)
     _require_finite("z", z)
     _require_finite("w", w)
@@ -143,16 +143,15 @@ def eta_density(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     on the diagonal.  At m=0 this is exactly
     1F1(beta; beta+1; -z zbar) (z zbar)^beta / Gamma(beta+1).  ``z`` may be a
     scalar (float result) or an array (ndarray result of the same shape).
-    Raises NumericError where N or the product overflows float64, or where
-    e^{-z zbar} falls below the normal float64 range and loses digits.
+    Leaves through specfun._exit_check: NumericError where N or the product overflows
+    float64, or where e^{-z zbar} falls below the normal float64 range and loses digits.
     """
     _require_beta(beta)
     _require_finite("z", z)
     z = np.asarray(z, dtype=complex)
     t = (z * z.conj()).real
     decay = np.exp(-t)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        out = _norm(z, m, beta, ctl) * t**beta * decay
-    if not np.all(np.isfinite(out) & (decay >= np.finfo(float).tiny)):
-        raise NumericError(f"eta_density leaves the float64 range at m={m}, beta={beta}")
+    decay = np.where(decay >= np.finfo(float).tiny, decay, np.nan)  # below the normal range digits are lost
+    with np.errstate(over="ignore", invalid="ignore"):  # the exit check raises there
+        out = _exit_check("eta_density", _norm(z, m, beta, ctl) * t**beta * decay, lambda i: f"m={m}, beta={beta}")
     return out if out.ndim else float(out)

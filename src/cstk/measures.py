@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from .errors import IllConditionedError, NumericError
+from .formats import read_data
 from .specfun import gamma_fn, laguerre, pochhammer
 
 __all__ = [
@@ -128,30 +128,15 @@ class TabulatedMeasure(MomentMeasure):
 
 
 def load_moments(path) -> TabulatedMeasure:
-    """Read a moments file: one `s value` pair per line, monotone in s.
+    """Read a moments file (formats.read_data): one `s value` pair per line, monotone in s.
 
     A leading comment of the form `# beta=<float> L=<float|inf>` sets the
     measure parameters.  The loader enforces positivity and the Hankel
     necessary condition on every unit-spaced triple present in the file.
     """
-    beta = 0.0
-    bound = math.inf
-    rows: list[tuple[float, float]] = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if tok.startswith("beta="):
-                    beta = float(tok[5:])
-                elif tok.startswith("L="):
-                    bound = math.inf if tok[2:] in ("inf", "Inf") else float(tok[2:])
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed moments line: {raw!r}")
-        rows.append((float(parts[0]), float(parts[1])))
+    header, fields = read_data(path, 2)
+    beta, bound = float(header.get("beta", 0.0)), float(header.get("L", "inf"))
+    rows = [(float(s), float(v)) for s, v in fields]
     if not rows:
         raise ValueError("moments file is empty")
     s_vals = [s for s, _ in rows]

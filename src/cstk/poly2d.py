@@ -17,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericError
+from .errors import ConvergenceError
 from .measures import GammaMeasure, MomentMeasure, gen_factorial, ortho_poly_phi, zeta
-from .specfun import SeriesControl, _laguerre_rows, _require_beta, gamma_fn, laguerre
+from .specfun import SeriesControl, _exit_check, _laguerre_rows, _require_beta, gamma_fn, laguerre
 
 __all__ = [
     "ModeIndex",
@@ -85,7 +85,7 @@ def h_poly(idx: ModeIndex, z):
 
     Satisfies h_poly(n, m, z) == conj(h_poly(m, n, z)); for z = 0 with n != m
     the value is the (vanishing) expansion limit.  ``z`` may be an ndarray.
-    Raises NumericError where the value is not finite in float64.
+    Leaves through specfun._exit_check: NumericError where the value is not finite in float64.
     """
     n, m, beta = idx.n, idx.m, idx.beta
     z = np.asarray(z, dtype=complex)
@@ -94,11 +94,9 @@ def h_poly(idx: ModeIndex, z):
     # max(1, |L|); u = |z|^2 and alpha = |n-m| + beta are formed in it too
     x, y = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
     alpha = np.longdouble(abs(n - m)) + np.longdouble(beta)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # the exit check raises there
         val = (-1.0) ** s * z ** (n - s) * np.conjugate(z) ** (m - s) * laguerre(s, alpha, x * x + y * y).astype(float)
-    if not np.all(np.isfinite(val)):
-        raise NumericError(f"h_poly leaves the float64 range at {idx}")
-    return val if val.ndim else val[()]
+    return _exit_check("h_poly", val, lambda i: idx)
 
 
 def h_poly_expand(idx: ModeIndex) -> PolyExpansion:
@@ -144,7 +142,7 @@ def p_norm(idx: ModeIndex, z, measure: MomentMeasure | None = None):
     the builtin measure reduces to h_poly / sqrt(Gamma(beta+m+1) x_{n,m}!)
     = h_poly sqrt(min(n,m)! / Gamma(beta+max(n,m)+1)), evaluated so, with the
     root taken from math.lgamma where Gamma(beta+max(n,m)+1) overflows float64.
-    Raises NumericError where the value is not finite in float64.
+    Leaves through specfun._exit_check: NumericError where the value is not finite in float64.
     """
     if measure is None:
         measure = GammaMeasure(beta=idx.beta)
@@ -161,11 +159,9 @@ def p_norm(idx: ModeIndex, z, measure: MomentMeasure | None = None):
     z = np.asarray(z, dtype=complex)
     phi = ortho_poly_phi(measure, s, abs(n - m) + beta, (z * np.conjugate(z)).real)
     norm = math.sqrt(zeta(measure, 0, m + beta) * gen_factorial(measure, n, m))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # the exit check raises there
         val = z ** (n - s) * np.conjugate(z) ** (m - s) * phi / norm
-    if not np.all(np.isfinite(val)):
-        raise NumericError(f"p_norm leaves the float64 range at {idx}")
-    return val if val.ndim else val[()]
+    return _exit_check("p_norm", val, lambda i: idx)
 
 
 _FEW_POINTS = 16  # point count up to which a block of rows costs numpy call overhead, not arithmetic

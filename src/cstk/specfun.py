@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, PoleError
+from .errors import ConvergenceError, NumericError, PoleError
 
 __all__ = [
     "SeriesControl",
@@ -61,6 +61,27 @@ def _require_finite(name: str, value) -> None:
     cmath on a scalar, so a single evaluation pays no array call."""
     if not (cmath.isfinite(value) if np.isscalar(value) else np.isfinite(value).all()):
         raise ValueError(f"{name} must be finite")
+
+
+def _exit_check(what: str, value, at, est=None, target: float = math.inf, size=1.0):
+    """The one exit of an evaluator: ``value`` rounded to float64 (complex128 if complex), shape kept, 0-d as a
+    numpy scalar.  NumericError where an element is not finite, or its error estimate ``est`` is not below
+    ``target * size`` (est / size is the relative estimate, compared undivided: est = size = 0 raises), naming
+    ``what`` and ``at(i)`` for the first such element, flat index i; the message is formatted only then."""
+    out = np.asarray(value)
+    dtype = complex if out.dtype.kind == "c" else float
+    if out.dtype != dtype:
+        with np.errstate(over="ignore", invalid="ignore"):  # a long double past float64 rounds to inf, checked here
+            out = out.astype(dtype)
+    ok = np.isfinite(out) if est is None else np.isfinite(out) & (est < target * size)
+    if ok.all() if ok.ndim else ok:  # the .all() of a numpy bool costs more than the rest of a passing check
+        return out if out.ndim else out[()]
+    i = int(np.argmin(ok))
+    est, size = (np.broadcast_to(v, np.shape(ok)).flat[i] for v in (0.0 if est is None else est, size))
+    if est < target * size:
+        raise NumericError(f"{what} leaves the float64 range at {at(i)}")
+    rel = float(est / size) if size else math.inf
+    raise NumericError(f"{what} misses {target:g} at {at(i)}: error estimate {rel:.2g}")
 
 
 def _is_nonpositive_integer(x: float) -> bool:

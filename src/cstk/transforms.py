@@ -28,15 +28,16 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericError
-from .formats import parse_complex
+from .errors import ConvergenceError
+from .formats import parse_complex, read_data
 from .poly2d import _block_len, _p_rows, _row_sum
 from .quadrature import QuadratureRule
-from .specfun import DEFAULT_CONTROL, SeriesControl, _kummer_series, _require_beta, _require_finite, gamma_fn, rgamma
+from .specfun import (
+    DEFAULT_CONTROL, SeriesControl, _exit_check, _kummer_series, _require_beta, _require_finite, gamma_fn, rgamma
+)
 
 __all__ = [
     "SampledFunction",
@@ -63,6 +64,7 @@ class SampledFunction:
     coeffs: np.ndarray | None = None
 
     def __post_init__(self):
+        _require_beta(self.beta)
         if self.kind == "grid":
             if self.x is None or self.values is None:
                 raise ValueError("grid function needs x and values")
@@ -82,8 +84,7 @@ class SampledFunction:
         elif self.kind == "coeffs":
             if self.coeffs is None:
                 raise ValueError("coefficient function needs a coefficient vector")
-            if not np.all(np.isfinite(np.abs(self.coeffs))):
-                raise ValueError("coefficients must be finite")
+            _require_finite("coefficients", self.coeffs)
         else:
             raise ValueError("kind must be 'grid' or 'coeffs'")
 
@@ -172,43 +173,20 @@ def _thomas(lower: list, diag: list, upper: list, rhs: list) -> list:
 
 
 def load_sampled(path) -> SampledFunction:
-    """Read a function file: header `# kind=grid|coeffs beta=<float>` then data.
+    """Read a function file (formats.read_data): header `# kind=grid|coeffs beta=<float>`, then `x value`
+    pairs (grid) or one coefficient per line (coeffs); values may be complex in `a+bi` form."""
 
-    Grid files carry `x value` pairs per line, coefficient files one
-    coefficient per line; values may be complex in `a+bi` form.
-    """
-    kind = None
-    beta = 0.0
-    xs: list[float] = []
-    vals: list[complex] = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if tok.startswith("kind="):
-                    kind = tok[5:]
-                elif tok.startswith("beta="):
-                    beta = float(tok[5:])
-            continue
-        parts = line.split()
-        if kind == "grid":
-            if len(parts) != 2:
-                raise ValueError(f"grid line must be `x value`: {raw!r}")
-            xs.append(float(parts[0]))
-            vals.append(parse_complex(parts[1]))
-        elif kind == "coeffs":
-            if len(parts) != 1:
-                raise ValueError(f"coefficient line must hold one value: {raw!r}")
-            vals.append(parse_complex(parts[0]))
-        else:
+    def fields(header: dict) -> int:
+        if header.get("kind") not in ("grid", "coeffs"):
             raise ValueError("file must declare `# kind=grid|coeffs beta=...` before data")
-    if kind == "grid":
-        return SampledFunction(kind="grid", beta=beta, x=np.array(xs), values=np.array(vals))
-    if kind == "coeffs":
-        return SampledFunction(kind="coeffs", beta=beta, coeffs=np.array(vals))
-    raise ValueError("file did not declare its kind")
+        return 2 if header["kind"] == "grid" else 1
+
+    header, rows = read_data(path, fields)
+    beta = float(header.get("beta", 0.0))
+    if fields(header) == 1:  # checks the kind also where no data line asked for it
+        return SampledFunction("coeffs", beta, coeffs=np.array([parse_complex(a) for (a,) in rows]))
+    x, values = np.array([float(x) for x, _ in rows]), np.array([parse_complex(v) for _, v in rows])
+    return SampledFunction("grid", beta, x=x, values=values)
 
 
 def omega_weight(x, beta: float):
@@ -224,9 +202,9 @@ def omega_weight(x, beta: float):
     have one sign after the first ceil(beta/2): one route for every x, summed in
     long double to its precision (0.0, unsummed, where a bound puts the weight far
     below the smallest double).  ``x`` may be an ndarray of finite values.
-    Raises NumericError where the rounding estimate 2 eps (|A| sum|A terms| +
-    |B| sum|B terms|) / (A^2 + B^2) exceeds 1e-12 at any x, as the cancelling
-    early terms of A and B make it from beta = 30 on.
+    Leaves through specfun._exit_check: NumericError where the rounding estimate
+    2 eps (|A| sum|A terms| + |B| sum|B terms|) / (A^2 + B^2) is not below 1e-12
+    at any x, as the cancelling early terms of A and B make it from beta = 30 on.
     """
     _require_beta(beta)
     x = np.abs(np.asarray(x, dtype=float))  # even function
@@ -235,7 +213,7 @@ def omega_weight(x, beta: float):
         out = np.exp(-x * x) / math.sqrt(math.pi)  # the series terminate: exact
     else:
         xs, where = np.unique(x.ravel(), return_inverse=True)  # a symmetric grid needs half the sums
-        out = _omega_kummer(xs.astype(np.longdouble), beta).astype(float)[where].reshape(x.shape)
+        out = _omega_kummer(xs.astype(np.longdouble), beta)[where].reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -243,15 +221,15 @@ _WEIGHT_TARGET = 1e-12  # relative: the rounding estimate of A^2 + B^2 past whic
 
 
 def _omega_kummer(x: np.ndarray, beta: float) -> np.ndarray:
-    """The Kummer form of omega_weight at the points x >= 0 of a 1-D array, in its dtype;
+    """The Kummer form of omega_weight at the points x >= 0 of a 1-D array, summed in its dtype, as float64;
     exactly 0, with no sum started, where x^2 >= beta and the leading term
     (2x^2)^beta e^{-x^2} / (sqrt(pi) Gamma(beta+1)) of the large-x expansion
     (the positive correction of |D|^2 only lowers the weight) is below 1e-340.
-    Raises NumericError where the rounding estimate of A^2 + B^2 exceeds _WEIGHT_TARGET."""
+    The exit check raises NumericError where the rounding estimate of A^2 + B^2 misses _WEIGHT_TARGET."""
     x2 = np.minimum(x, 1e150) ** 2  # the bound falls past x^2 = beta, so clipping keeps it above
     ln_bound = beta * np.log(2.0 * np.maximum(x2, beta)) - x2 - math.log(math.sqrt(math.pi)) - math.lgamma(beta + 1.0)
     live = (x2 < beta) | (ln_bound >= -340.0 * math.log(10.0))  # weights below 1e-340 round to 0.0
-    out, x = np.zeros_like(x), x[live]
+    out, x = np.zeros(x.shape), x[live]
     (m_a, m_b), (abs_a, abs_b), e = _kummer_series((((1 - beta) / 2, 0.5), (1 - beta / 2, 1.5)), x * x)
     c_a, c_b = math.sqrt(math.pi) * rgamma((1.0 + beta) / 2.0), 2.0 * math.sqrt(math.pi) * rgamma(beta / 2.0) * x
     a, b = c_a * m_a, c_b * m_b
@@ -259,24 +237,27 @@ def _omega_kummer(x: np.ndarray, beta: float) -> np.ndarray:
     # rounding of A^2 + B^2, 2 (|A| dA + |B| dB) with dA = eps |c_a| sum|M_a terms|: the early
     # alternating terms cancel past beta ~ 30
     err = 2 * np.finfo(x.dtype).eps * (np.abs(a) * abs(c_a) * abs_a + np.abs(b * c_b) * abs_b)
-    passed = err < _WEIGHT_TARGET * norm2  # strict: A = B = 0 fails
-    if not passed.all():
-        i = int(np.argmin(passed))
-        est = float(err[i] / norm2[i]) if norm2[i] else math.inf
-        raise NumericError(
-            f"omega_weight misses {_WEIGHT_TARGET:g} at beta={beta}, x={float(x[i])}: error estimate {est:.2g}"
-        )
-    scale = np.exp(x * x - 2 * e * np.log(x.dtype.type(2.0)))  # e^{x^2} / 2^{2e}
-    out[live] = 2.0**beta / (math.sqrt(math.pi) * gamma_fn(beta + 1.0)) * scale / norm2
+    big = beta > 170  # Gamma(beta+1) overflows float64; 2^beta / Gamma(beta+1), soon subnormal, joins the exponent
+    lead = 1 / math.sqrt(math.pi) if big else 2.0**beta / (math.sqrt(math.pi) * gamma_fn(beta + 1.0))
+    ln_scale = x * x - 2 * e * np.log(x.dtype.type(2.0))  # e^{x^2} / 2^{2e}
+    scale = np.exp(ln_scale + (beta * math.log(2.0) - math.lgamma(beta + 1.0)) if big else ln_scale)
+    with np.errstate(divide="ignore"):  # A = B = 0 fails the exit check: err = 0 is not below 0
+        weight = lead * scale / norm2
+    out[live] = _exit_check(
+        "omega_weight", weight, lambda i: f"beta={beta}, x={float(x[i])}", err, _WEIGHT_TARGET, norm2
+    )
     return out
 
 
 def basis_phi(n: int, x, beta: float):
     """Orthonormal basis function phi_n(x) = 2^{-n/2} H_n(x, beta) / sqrt((beta+1)_n),
-    by the normalized recurrence, which does not overflow at large n."""
+    by the normalized recurrence, which does not overflow at large n; where phi_n(x), of size about
+    e^{x^2/2}, leaves float64, specfun._exit_check raises NumericError."""
     _require_beta(beta)
-    out = next(itertools.islice(itertools.chain.from_iterable(_phi_rows(beta, np.asarray(x, dtype=float))), n, None))
-    return out if out.ndim else out[()]
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # the exit check raises there
+        out = next(itertools.islice(itertools.chain.from_iterable(_phi_rows(beta, x)), n, None))
+    return _exit_check("basis_phi", out, lambda i: f"n={n}, beta={beta}, x={x.flat[i]}")
 
 
 def kernel_B_analytic(beta: float, z: complex, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
@@ -334,9 +315,9 @@ def kernel_B(
     ctl.max_terms it raises ConvergenceError.  ``x`` may be an ndarray.
     The relative error estimate (eps sum|term| + last terms) / |value| + eps
     per point counts rounding, truncation and the final rounding to
-    complex128; where it exceeds _KERNEL_B_TARGET = 1e-10 at any x the call
-    raises NumericError.  The terms exceed the value by about
-    e^{(x/sqrt2 - Re z)^2}, so the estimate grows where x and Re z are large
+    complex128; specfun._exit_check raises NumericError where it is not below
+    _KERNEL_B_TARGET = 1e-10, or the value leaves complex128, at any x.  The terms exceed the
+    value by about e^{(x/sqrt2 - Re z)^2}, so the estimate grows where x and Re z are large
     with opposite signs.  return_error_estimate=True also returns it.
     """
     _require_beta(beta)
@@ -347,20 +328,16 @@ def kernel_B(
     rows = _p_rows(m, beta, np.clongdouble(complex(z).conjugate()), block)
     terms = (row[:, np.newaxis] * phi for row, phi in zip(rows, _phi_rows(beta, x_arr, block)))
     total, est = _row_sum(terms, m, ctl, "kernel_B series")
-    values = total.astype(complex)
-    err = (est / np.maximum(np.abs(total), 1e-300)).astype(float)
-    err += np.finfo(float).eps
-    if not np.all(err <= _KERNEL_B_TARGET):
-        i = int(np.flatnonzero(~(err <= _KERNEL_B_TARGET))[0])
-        raise NumericError(
-            f"kernel_B misses {_KERNEL_B_TARGET:g} at m={m}, beta={beta}, z={complex(z)}, "
-            f"x={float(x_arr[i])}: error estimate {err[i]:.2g}"
-        )
+    err = (est / np.maximum(np.abs(total), 1e-300)).astype(float) + np.finfo(float).eps
+    values = _exit_check(
+        "kernel_B", total, lambda i: f"m={m}, beta={beta}, z={complex(z)}, x={float(x_arr[i])}", err, _KERNEL_B_TARGET
+    )
     if return_error_estimate:
         return (values, err) if np.ndim(x) else (complex(values[0]), float(err[0]))
     return values if np.ndim(x) else complex(values[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the exit check raises where the rows overflow
 def apply_transform(
     f: SampledFunction,
     m: int,
@@ -386,7 +363,7 @@ def apply_transform(
     so far (rule norms; rest_{n-1} = f - sum_{k<n} d_k phi_k on the nodes, over
     max|f|: scale-free).  This is Cauchy-Schwarz, |d_n| <= ||rest_{n-1}|| ||phi_n||,
     where the rule keeps phi_n orthogonal to the phi_k already projected; the
-    min never takes more rows than the f-free bound ||f|| ||phi_n||.
+    min never takes more rows than the f-free bound ||f|| ||phi_n||.  Leaves through specfun._exit_check.
     """
     _require_beta(beta)
     if abs(f.beta - beta) > 1e-12:
@@ -431,4 +408,5 @@ def apply_transform(
         else:
             raise ConvergenceError(f"transform series not converged in {ctl.max_terms} terms")
     out /= math.sqrt(gamma_fn(beta + 1.0))
+    out = _exit_check("apply_transform", out, lambda i: f"m={m}, beta={beta}, z={zs[i]}")
     return out.tolist()  # Python complexes; complex() per element costs as much as the sum

@@ -10,7 +10,7 @@ import pytest
 
 import cstk
 from cstk import cli, oracles, verify
-from cstk.formats import format_complex, parse_complex
+from cstk.formats import format_complex, parse_complex, read_data
 from cstk.poly2d import ModeIndex, p_norm
 
 
@@ -36,6 +36,17 @@ class TestFormats:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_complex("not-a-number")
+
+    def test_read_data(self, tmp_path):
+        # the header is the `#` lines before the first data line: a later one, such as an
+        # np.savetxt footer, sets nothing
+        path = tmp_path / "f.txt"
+        path.write_text("# kind=grid beta=1 note\n\n# L=inf\n-1 0.5\n\n# kind=coeffs beta=2\n1 0.5\n")
+        assert read_data(path, 2) == ({"kind": "grid", "beta": "1", "L": "inf"}, [["-1", "0.5"], ["1", "0.5"]])
+        assert read_data(path, lambda header: 2 if header["kind"] == "grid" else 1)[1] == [["-1", "0.5"], ["1", "0.5"]]
+        path.write_text("# kind=grid\n-1 0.5\n0 1 2\n")
+        with pytest.raises(ValueError, match="must hold 2 field\\(s\\): '0 1 2'"):
+            read_data(path, 2)
 
 
 class TestEval:
@@ -237,6 +248,19 @@ class TestTransformCommand:
             assert abs(v - z) <= 1e-12
 
 
+    def test_unchecked_file_values_exit_2(self, capsys, tmp_path):
+        # a nan beta printed a value with exit 0: abs(nan - 0.5) > 1e-12 is False
+        fpath, tpath = tmp_path / "f.txt", tmp_path / "targets.txt"
+        fpath.write_text("# kind=coeffs beta=nan\n1\n0.5\n")
+        tpath.write_text("0.5\n")
+        assert cli.main(["transform", "--input", str(fpath), "--targets", str(tpath), "--beta", "0.5"]) == 2
+        assert capsys.readouterr().err == "error: beta must be non-negative\n"
+        fpath.write_text("# kind=coeffs beta=0.5\n1\n")
+        tpath.write_text("0.5 1\n")
+        assert cli.main(["transform", "--input", str(fpath), "--targets", str(tpath), "--beta", "0.5"]) == 2
+        assert "'0.5 1'" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_single_suite(self, capsys, tmp_path):
         out_dir = tmp_path / "reports"
@@ -315,6 +339,16 @@ class TestConfig:
         code, _ = run(capsys, "--config", str(cfg), "eval", "poly")
         assert code == 2
 
+    def test_output_format_checked(self, capsys, tmp_path):
+        # output_format = xml wrote CSV with exit 0
+        cfg = tmp_path / "cstk.cfg"
+        cfg.write_text("output_format = xml\n")
+        assert cli.main(["--config", str(cfg), "eval", "poly"]) == 2
+        assert capsys.readouterr().err.startswith("config error: output_format must be json or csv")
+        cfg.write_text("output_format = csv\n")
+        code, out = run(capsys, "--config", str(cfg), "eval", "poly")
+        assert code == 0 and out.startswith("name,value")
+
     def test_abs_tol_is_gone(self, capsys, tmp_path):
         # abs_tol was parsed but read by no evaluator
         cfg = tmp_path / "cstk.cfg"
@@ -338,3 +372,22 @@ def test_import_path_leaves_scipy_and_mpmath_unloaded(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cstk.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_past_float64_exits_3_under_warnings_as_errors(tmp_path):
+    # the transform exited 1 with a RuntimeWarning traceback, and printed nan+nani with exit 0
+    # without -W error; the kernel printed inf+0i with exit 0
+    fpath, tpath = tmp_path / "f.txt", tmp_path / "targets.txt"
+    fpath.write_text("# kind=coeffs beta=0.5\n" + "1\n" * 400)
+    tpath.write_text("100\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cstk.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    for argv in (
+        ["transform", "--input", str(fpath), "--targets", str(tpath), "--m", "2", "--beta", "0.5"],
+        ["--max-terms", "20000", "eval", "kernel", "--m", "0", "--beta", "0", "--z", "30", "--x", "40"],
+    ):
+        for flags in ([], ["-W", "error"]):
+            cmd = [sys.executable, *flags, "-m", "cstk.cli", *argv]
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 3 and proc.stdout == "", (flags, argv, proc.stderr)
+            assert proc.stderr.startswith("numeric failure:") and "leaves the float64 range" in proc.stderr

@@ -194,6 +194,14 @@ class TestOverlap:
         val = overlap_closed(20 + 0j, 20 + 0.3j, 4, 0.5, SeriesControl(max_terms=20000))
         assert abs(val - ref) <= 1e-12 * abs(ref)
 
+    def test_norms_past_long_double_against_mpmath(self):
+        # sqrt(N_z N_w) overflows long double from |z| of about 75: the overlap was 0-0i
+        z, w, beta = 76 + 0j, 76 + 0.1j, 0.5
+        with mp.workdps(40):  # the m = 0 overlap S(z wbar) / sqrt(S(|z|^2) S(|w|^2)), S(t) = M(1; beta+1; t)
+            cross, nz, nw = (mp.hyp1f1(1, beta + 1, t) for t in (mp.mpc(z) * mp.conj(w), abs(z) ** 2, abs(w) ** 2))
+            ref = complex(cross / mp.sqrt(nz * nw))
+        assert abs(overlap_closed(z, w, 0, beta, SeriesControl(max_terms=40000)) - ref) <= 1e-12
+
     def test_distant_against_mpmath(self):
         # w ~ -z: the overlap lies far below the norms; the closed form was 6.7e-11
         # off (relative) at m = 0, beta = 0, |z| = 3, where float64 rows give 8.1e-10

@@ -108,6 +108,15 @@ class TestOmegaWeight:
         with pytest.raises(NumericError, match="x=5.0"):
             omega_weight(5.0, 100.0)
 
+    def test_past_the_gamma_overflow(self):
+        # Gamma(beta + 1) overflows float64 past beta = 170.6: omega_weight raised OverflowError,
+        # and 2^beta / Gamma(beta + 1) in float64 is subnormal at beta = 200 (2.4e-9 off) and 0 at 300
+        with mp.workdps(60):
+            for x, beta in [(0.5, 171.0), (0.5, 200.0), (0.25, 300.0)]:
+                b = mp.mpf(beta)
+                ref = float(1 / (mp.sqrt(mp.pi) * mp.gamma(b + 1) * abs(mp.pcfd(-b, 1j * mp.sqrt(2) * mp.mpf(x))) ** 2))
+                assert abs(omega_weight(x, beta) - ref) <= 1e-12 * ref, (x, beta)
+
     @pytest.mark.parametrize("beta", [30.0, 50.0, 100.0])
     def test_large_beta_values_it_returns(self, beta):
         # where the estimate passes, the value is within 1e-10 of 60-digit mpmath
@@ -777,6 +786,30 @@ class TestSampledFunctionIO:
         """Each bad grid raises here, with this message, not later from the spline."""
         with pytest.raises(ValueError, match=message):
             SampledFunction(kind="grid", beta=0.0, x=np.array(x), values=np.array(values))
+
+    def test_footer_sets_nothing(self, tmp_path):
+        # a `#` line after the data set the kind and beta of the file
+        path = tmp_path / "f.txt"
+        x = np.linspace(-2.0, 2.0, 5)
+        np.savetxt(path, np.c_[x, np.exp(-x * x)], header="kind=grid beta=1", footer="kind=coeffs beta=2")
+        f = load_sampled(path)
+        assert f.kind == "grid" and f.beta == 1.0
+        np.testing.assert_array_equal(f.x, x)
+
+    def test_bad_line_quoted(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("# kind=grid beta=0\n-1.0 0.5\n0.0 1.0 2.0\n")
+        with pytest.raises(ValueError, match="'0.0 1.0 2.0'"):
+            load_sampled(path)
+        path.write_text("# kind=coeffs beta=0\n1\n0.5 0.5\n")
+        with pytest.raises(ValueError, match="'0.5 0.5'"):
+            load_sampled(path)
+
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+    def test_beta_checked(self, beta):
+        # sample() returned nan at beta = -1
+        with pytest.raises(ValueError, match="beta must be non-negative"):
+            SampledFunction(kind="coeffs", beta=beta, coeffs=np.ones(3))
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "f.txt"

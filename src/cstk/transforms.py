@@ -205,6 +205,8 @@ def omega_weight(x, beta: float):
     Leaves through specfun._exit_check: NumericError where the rounding estimate
     2 eps (|A| sum|A terms| + |B| sum|B terms|) / (A^2 + B^2) is not below 1e-12
     at any x, as the cancelling early terms of A and B make it from beta = 30 on.
+    Past beta = 170, where Gamma(beta+1) overflows float64, the Gamma factors come
+    from lgamma, and eps times the lgamma values joins the estimate.
     """
     _require_beta(beta)
     x = np.abs(np.asarray(x, dtype=float))  # even function
@@ -230,22 +232,30 @@ def _omega_kummer(x: np.ndarray, beta: float) -> np.ndarray:
     ln_bound = beta * np.log(2.0 * np.maximum(x2, beta)) - x2 - math.log(math.sqrt(math.pi)) - math.lgamma(beta + 1.0)
     live = (x2 < beta) | (ln_bound >= -340.0 * math.log(10.0))  # weights below 1e-340 round to 0.0
     out, x = np.zeros(x.shape), x[live]
+    sqrt_pi, at = math.sqrt(math.pi), lambda i: f"beta={beta}, x={float(x[i])}"
+    if beta <= 170:
+        c_a, c_b = sqrt_pi * rgamma((1.0 + beta) / 2.0), 2.0 * sqrt_pi * rgamma(beta / 2.0) * x
+        lead = 2.0**beta / (sqrt_pi * gamma_fn(beta + 1.0))
+    else:  # Gamma(beta+1) overflows, and 1/Gamma((1+beta)/2) is 0 from 342.25: A and B times Gamma((1+beta)/2),
+        # so by the duplication formula lead = 2 r / beta, r = Gamma((1+beta)/2) / Gamma(beta/2) from lgamma
+        lg_a, lg_b = math.lgamma((1.0 + beta) / 2.0), math.lgamma(beta / 2.0)
+        r, r_err = math.exp(lg_a - lg_b), np.finfo(float).eps * (lg_a + lg_b)  # r_err: the rounding of the lgammas
+        c_a, c_b, lead = sqrt_pi, 2.0 * sqrt_pi * r * x, 2.0 * r / beta
+        if r_err >= _WEIGHT_TARGET:  # every x misses from beta ~ 880 on: no sum started (it takes ~beta/64 blocks)
+            out[live] = _exit_check("omega_weight", np.ones(x.shape), at, np.full(x.shape, r_err), _WEIGHT_TARGET)
+            return out  # no x is live
     (m_a, m_b), (abs_a, abs_b), e = _kummer_series((((1 - beta) / 2, 0.5), (1 - beta / 2, 1.5)), x * x)
-    c_a, c_b = math.sqrt(math.pi) * rgamma((1.0 + beta) / 2.0), 2.0 * math.sqrt(math.pi) * rgamma(beta / 2.0) * x
     a, b = c_a * m_a, c_b * m_b
     norm2 = a * a + b * b
     # rounding of A^2 + B^2, 2 (|A| dA + |B| dB) with dA = eps |c_a| sum|M_a terms|: the early
     # alternating terms cancel past beta ~ 30
     err = 2 * np.finfo(x.dtype).eps * (np.abs(a) * abs(c_a) * abs_a + np.abs(b * c_b) * abs_b)
-    big = beta > 170  # Gamma(beta+1) overflows float64; 2^beta / Gamma(beta+1), soon subnormal, joins the exponent
-    lead = 1 / math.sqrt(math.pi) if big else 2.0**beta / (math.sqrt(math.pi) * gamma_fn(beta + 1.0))
-    ln_scale = x * x - 2 * e * np.log(x.dtype.type(2.0))  # e^{x^2} / 2^{2e}
-    scale = np.exp(ln_scale + (beta * math.log(2.0) - math.lgamma(beta + 1.0)) if big else ln_scale)
+    if beta > 170:  # r_err on the lead, twice r_err on c_b^2
+        err = err + r_err * (norm2 + 2 * b * b)
+    scale = np.exp(x * x - 2 * e * np.log(x.dtype.type(2.0)))  # e^{x^2} / 2^{2e}
     with np.errstate(divide="ignore"):  # A = B = 0 fails the exit check: err = 0 is not below 0
         weight = lead * scale / norm2
-    out[live] = _exit_check(
-        "omega_weight", weight, lambda i: f"beta={beta}, x={float(x[i])}", err, _WEIGHT_TARGET, norm2
-    )
+    out[live] = _exit_check("omega_weight", weight, at, err, _WEIGHT_TARGET, norm2)
     return out
 
 

@@ -110,12 +110,36 @@ class TestOmegaWeight:
 
     def test_past_the_gamma_overflow(self):
         # Gamma(beta + 1) overflows float64 past beta = 170.6: omega_weight raised OverflowError,
-        # and 2^beta / Gamma(beta + 1) in float64 is subnormal at beta = 200 (2.4e-9 off) and 0 at 300
+        # and 2^beta / Gamma(beta + 1) in float64 is subnormal at beta = 200 (2.4e-9 off) and 0 at 300;
+        # 1 / Gamma((1+beta)/2) is 0 in float64 past beta = 342.25 (A dropped: 0.3628 for 0.02429 at
+        # x = 0.01) and 1 / Gamma(beta/2) past 343.25
         with mp.workdps(60):
-            for x, beta in [(0.5, 171.0), (0.5, 200.0), (0.25, 300.0)]:
+            for x, beta in [(0.5, 171.0), (0.5, 200.0), (0.25, 300.0), (0.01, 343.0), (0.5, 343.0),
+                            (0.01, 400.0), (0.25, 400.0)]:
                 b = mp.mpf(beta)
                 ref = float(1 / (mp.sqrt(mp.pi) * mp.gamma(b + 1) * abs(mp.pcfd(-b, 1j * mp.sqrt(2) * mp.mpf(x))) ** 2))
                 assert abs(omega_weight(x, beta) - ref) <= 1e-12 * ref, (x, beta)
+
+    def test_lgamma_rounding_in_the_estimate(self):
+        # at beta = 800 eps (lgamma((1+beta)/2) + lgamma(beta/2)) is 8.9e-13: it passes at x = 0, where B = 0,
+        # and misses 1e-12 at x = 0.3, where it counts twice on B^2 (the estimate of the sums alone passes there)
+        with mp.workdps(60):
+            ref = float(1 / (mp.sqrt(mp.pi) * mp.gamma(801) * abs(mp.pcfd(-800, 0)) ** 2))
+        assert abs(omega_weight(0.0, 800.0) - ref) <= 1e-12 * ref
+        with pytest.raises(NumericError, match="omega_weight misses 1e-12 at beta=800.0, x=0.3"):
+            omega_weight(0.3, 800.0)
+
+    def test_lgamma_rounding_raises_without_a_sum(self, monkeypatch):
+        # from beta of about 880 on, eps times the lgamma values alone misses 1e-12 at every x; the
+        # series would take beta/64 blocks, without end at beta = 1e300, so none is started
+        def no_sum(*args, **kwargs):
+            raise AssertionError("summed")
+
+        monkeypatch.setattr(transforms_module, "_kummer_series", no_sum)
+        for beta in (900.0, 1e300):
+            with pytest.raises(NumericError, match="omega_weight misses 1e-12 at beta="):
+                omega_weight(np.array([0.0, 0.5]), beta)
+        assert omega_weight(np.array([]), 1e300).shape == (0,)
 
     @pytest.mark.parametrize("beta", [30.0, 50.0, 100.0])
     def test_large_beta_values_it_returns(self, beta):

@@ -6,6 +6,7 @@ this module loads neither scipy nor mpmath.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "hyp_pfq",
     "hermite",
     "assoc_hermite",
+    "assoc_hermite_rows",
     "mittag_leffler",
     "lauricella_triple",
     "kernel_B_true_poly",
@@ -91,21 +93,26 @@ def hermite(n: int, x):
 
 
 def assoc_hermite(n: int, x, beta: float):
-    """Associated Hermite polynomial H_n(x, beta).
+    """Associated Hermite polynomial H_n(x, beta), row n of assoc_hermite_rows."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    return next(itertools.islice(assoc_hermite_rows(x, beta), n, None))
+
+
+def assoc_hermite_rows(x, beta: float):
+    """Endless generator of the associated Hermite polynomials H_n(x, beta), n = 0, 1, ...
 
     Forward recurrence H_{k+1} = 2x H_k - 2(k+beta) H_{k-1} with H_{-1}=0,
     H_0=1; beta=0 recovers the physicists' Hermite polynomials.
     """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
     x = np.asarray(x)
     if x.dtype.kind not in "fc":
         x = x.astype(float)
     h_prev = np.zeros_like(x)
     h = np.ones_like(x)
-    for k in range(n):
+    for k in itertools.count():
+        yield h if h.ndim else h[()]
         h, h_prev = 2.0 * x * h - 2.0 * (k + beta) * h_prev, h
-    return h if h.ndim else h[()]
 
 
 def mittag_leffler(alpha: float, gamma_par: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:

@@ -98,7 +98,7 @@ class SampledFunction:
         """Values at arbitrary abscissae (cubic spline for grids, zero outside)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "coeffs":
-            phis = itertools.chain.from_iterable(_phi_rows(self.beta, x))
+            phis = itertools.chain.from_iterable(_phi_rows(self.beta, x, min(_block_len(x.size), len(self.coeffs))))
             return sum((a * phi for a, phi in zip(self.coeffs, phis)), np.zeros(len(x), complex))
         knots, c = self._spline
         i = np.searchsorted(knots[1:-1], x, side="right")  # the piece of x; the end pieces reach outward
@@ -264,9 +264,11 @@ def basis_phi(n: int, x, beta: float):
     by the normalized recurrence, which does not overflow at large n; where phi_n(x), of size about
     e^{x^2/2}, leaves float64, specfun._exit_check raises NumericError."""
     _require_beta(beta)
+    _require_finite("x", x)
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # the exit check raises there
-        out = next(itertools.islice(itertools.chain.from_iterable(_phi_rows(beta, x)), n, None))
+        rows = _phi_rows(beta, x, min(_block_len(x.size), n + 1))  # no rows past n
+        out = next(itertools.islice(itertools.chain.from_iterable(rows), n, None))
     return _exit_check("basis_phi", out, lambda i: f"n={n}, beta={beta}, x={x.flat[i]}")
 
 
@@ -320,7 +322,7 @@ def kernel_B(
 ):
     """Fixed-m generalized Bargmann kernel B_{beta,m}(z, x) in its generating
     form (module docstring), summed in long double by poly2d._row_sum, 64 rows
-    per block at up to 16 points x: until two successive terms are below
+    per block at up to 64 points x: until two successive terms are below
     ctl.rel_tol of the partial sum (or its rounding error) at every x; past
     ctl.max_terms it raises ConvergenceError.  ``x`` may be an ndarray.
     The relative error estimate (eps sum|term| + last terms) / |value| + eps

@@ -17,8 +17,16 @@ import numpy as np
 
 from . import coherent, measures, poly2d, quadrature, transforms
 from .errors import NumericError
-from .oracles import assoc_hermite, closed_bracket, hyp_pfq, kernel_B_true_poly, lauricella_triple, mittag_leffler
-from .specfun import gamma_fn, pochhammer
+from .oracles import (
+    assoc_hermite,
+    assoc_hermite_rows,
+    closed_bracket,
+    hyp_pfq,
+    kernel_B_true_poly,
+    lauricella_triple,
+    mittag_leffler,
+)
+from .specfun import gamma_fn
 
 __all__ = [
     "VerificationReport",
@@ -147,8 +155,7 @@ def check_orthogonality_2d(
     for beta in betas:
         rule = quadrature.polar_rule(n_r, n_theta, beta)
         zpts = rule.complex_points()
-        for row, (j, n) in zip(vals, pairs):
-            row[:] = poly2d.h_poly(poly2d.ModeIndex(j, n, beta), zpts)
+        _h_table(nmax, beta, zpts, vals)
         gram = np.zeros((len(pairs), len(pairs)), dtype=complex)
         for lo in range(0, len(zpts), step):
             blk = vals[:, lo : lo + step]
@@ -163,6 +170,17 @@ def check_orthogonality_2d(
         "orthogonality-2d", t0, seed, params, {"diagonal": (diag, diag_tol), "off-diagonal": (off, off_tol)},
         abs_err=absolute, details={"max_offdiag_rel": _max(off), "offdiag_tolerance": off_tol},
     )
+
+
+def _h_table(nmax: int, beta: float, z, out):
+    """out[j (nmax+1) + n] = h_poly(ModeIndex(j, n, beta), z), j, n <= nmax, from
+    h_poly's own rows (poly2d._h_rows): one Laguerre pass per |j - n|."""
+    for d in range(nmax + 1):
+        for s, row in zip(range(nmax + 1 - d), poly2d._h_rows(d, beta, z)):
+            out[(s + d) * (nmax + 1) + s] = row(True)
+            if d:
+                out[s * (nmax + 1) + s + d] = row(False)
+    return out
 
 
 def check_assoc_hermite(betas=(0.0, 1.0, 1.7), nmax: int = 5, seed: int = DEFAULT_SEED) -> VerificationReport:
@@ -230,19 +248,27 @@ def check_generating_function(
                     val = lauricella_triple(c, beta, 2.0 * x * t, -t * t, -2.0 * t * t)
                     direct = 0.0 + 0.0j
                     small = 0
-                    n = 0
-                    while small < 2 or n < 8:  # x = 0 kills every odd term
-                        term = t**n * assoc_hermite(n, x, beta) / pochhammer(c, n)
+                    for n, term in enumerate(_generating_terms(t, x, beta, c), 1):
                         direct += term
                         small = small + 1 if abs(term) <= 1e-17 * max(abs(direct), 1e-30) else 0
-                        n += 1
                         if n > 400:
                             raise RuntimeError("direct generating-series oracle failed to converge")
+                        if small >= 2 and n >= 8:  # x = 0 kills every odd term
+                            break
                     err = abs(val - direct)
                     absolute.append(err)
                     rel.append(err / max(abs(direct), 1e-30))
     params = {"betas": list(betas), "cs": list(cs), "xs": list(xs), "samples": int(len(tpts))}
     return _report("generating-function", t0, seed, params, {"lauricella": (rel, 1e-9)}, abs_err=absolute)
+
+
+def _generating_terms(t, x, beta: float, c: float):
+    """The terms t^n H_n(x, beta) / (c)_n, n = 0, 1, ..., of the direct generating series:
+    one walk of oracles.assoc_hermite_rows, and (c)_n multiplied up in specfun.pochhammer's order."""
+    poch = 1.0
+    for n, h in enumerate(assoc_hermite_rows(x, beta)):
+        yield t**n * h / poch
+        poch *= c + n
 
 
 def check_kernel_reduction(mmax: int = 8, samples: int = 100, seed: int = DEFAULT_SEED) -> VerificationReport:

@@ -69,6 +69,15 @@ def test_past_float64_raises(name, warning_filter):
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sum_past_long_double_raises_at_once():
+    # the rows leave long double by |z| = 160, and the sum ran its whole 60000-term
+    # budget on nan terms (0.3 s), then raised ConvergenceError
+    with pytest.raises(NumericError, match="^kernel_B misses 1e-10 at m=0, beta=0.0") as info:
+        kernel_B(0, 0.0, 160, 0.0, SeriesControl(max_terms=60000))
+    assert type(info.value) is NumericError
+
+
 class TestExitCheck:
     def test_rounds_and_keeps_shape(self):
         value = np.array([[1, 2], [3, 4]], dtype=np.clongdouble) / 3

@@ -16,6 +16,7 @@ from cstk.poly2d import (
     _EPS_LD,
     ModeIndex,
     _block_len,
+    _h_rows,
     _head_laguerre,
     _p_rows,
     _row_sum,
@@ -48,6 +49,22 @@ class TestHPoly:
     def test_zero_argument(self):
         assert h_poly(ModeIndex(3, 1, 0.5), 0.0) == 0.0
         assert h_poly(ModeIndex(2, 2, 0.5), 0.0) == pytest.approx(laguerre(2, 0.5, 0.0), rel=1e-14)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.3])
+    def test_shared_rows_are_the_closed_form_bitwise(self, beta):
+        """Each row of _h_rows, at a scalar and on an array, is the closed form evaluated
+        on its own, with u = |z|^2 and |n-m| + beta in long double, bit for bit."""
+        zs = np.array([0j, 1.0, -1.5, 2j, complex(-0.0, -0.7), 0.3 - 2.1j, -2.6 + 1.4j])
+        for z in [*zs, zs]:
+            za = np.asarray(z)
+            u = za.real.astype(np.longdouble) ** 2 + za.imag.astype(np.longdouble) ** 2
+            for d in range(5):
+                for s, row in zip(range(5), _h_rows(d, beta, z)):
+                    lag = laguerre(s, np.longdouble(d) + np.longdouble(beta), u).astype(float)
+                    for upper, (n, m) in ((True, (s + d, s)), (False, (s, s + d))):
+                        ref = (-1.0) ** s * za ** (n - s) * np.conjugate(za) ** (m - s) * lag
+                        assert np.asarray(row(upper)).tobytes() == np.asarray(ref).tobytes(), (z, n, m)
+                        assert row(upper).tobytes() == h_poly(ModeIndex(n, m, beta), z).tobytes()
 
     @given(modes, points)
     @settings(max_examples=60, deadline=None)
@@ -319,6 +336,24 @@ class TestRowBlocks:
             assert np.array_equal(total, ref)
             with pytest.raises(ConvergenceError, match="s not converged in"):
                 _row_sum(map(terms, _p_rows(m, beta, w, block)), m, SeriesControl(max_terms=taken - 2), "s")
+
+
+def test_row_sum_stops_after_a_non_finite_block():
+    """A sum whose terms leave long double returns after that block, nan where
+    sum |term| is not finite, instead of running out its budget on them."""
+    taken = []
+
+    def blocks():  # ones never meet the tail test; point 1 overflows in the second block
+        for k in itertools.count():
+            taken.append(k)
+            block = np.ones((4, 2), dtype=np.clongdouble)
+            block[2, 1] = np.inf if k == 1 else 1
+            yield block
+
+    total, est = _row_sum(blocks(), 0, SeriesControl(max_terms=10**6), "s")
+    assert taken == [0, 1]
+    assert total[0] == 8 and np.isnan(total[1])
+    assert est[0] == 8 * _EPS_LD and est[1] == np.inf
 
 
 def _laguerre_mp(n: int, a, u):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cstk.errors import ConvergenceError, PoleError
-from cstk.oracles import assoc_hermite, hermite, hyp_pfq, lauricella_triple, mittag_leffler
+from cstk.oracles import assoc_hermite, assoc_hermite_rows, hermite, hyp_pfq, lauricella_triple, mittag_leffler
 from cstk.specfun import SeriesControl, _kummer_series, gamma_fn, laguerre, pochhammer
 
 EPS_LD = float(np.finfo(np.longdouble).eps)
@@ -123,6 +124,18 @@ class TestHermite:
     @settings(max_examples=40)
     def test_assoc_reduces_at_beta_zero(self, n, x):
         assert assoc_hermite(n, x, 0.0) == hermite(n, x)
+
+    @pytest.mark.parametrize("x", [0.3, -1.7, np.array([0.0, 0.3, -2.5]), np.array([1, 2])])
+    def test_assoc_is_a_row_of_the_generator(self, x):
+        for beta in (0.0, 1.2, 3.5):
+            rows = list(itertools.islice(assoc_hermite_rows(x, beta), 12))
+            for n, row in enumerate(rows):
+                value = assoc_hermite(n, x, beta)
+                assert type(value) is type(row) and np.array_equal(value, row)
+                ref, prev = np.ones_like(np.asarray(x, float)), 0.0  # the forward recurrence, restarted per degree
+                for k in range(n):
+                    ref, prev = 2.0 * np.asarray(x, float) * ref - 2.0 * (k + beta) * prev, ref
+                assert np.array_equal(value, ref)
 
     def test_assoc_examples(self):
         assert assoc_hermite(0, 0.7, 1.9) == 1.0

@@ -244,7 +244,12 @@ def test_rejects_non_finite_points(bad):
         "targets": [lambda: apply_transform(f, 2, 0.5, [0.5, bad], rule)],
     }
     if isinstance(bad, float):
-        calls["x"] = [lambda: kernel_B(2, 0.5, 0.5 + 0.1j, bad), lambda: kernel_B(2, 0.5, 0.5, np.array([0.0, bad]))]
+        calls["x"] = [
+            lambda: kernel_B(2, 0.5, 0.5 + 0.1j, bad),
+            lambda: kernel_B(2, 0.5, 0.5, np.array([0.0, bad])),
+            lambda: basis_phi(3, bad, 0.5),  # NumericError, "leaves the float64 range", before
+            lambda: basis_phi(3, np.array([0.0, bad]), 0.5),
+        ]
         calls["t"] = [lambda: norm_closed_m0(0.5, bad)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -282,6 +287,18 @@ class TestBasisPhi:
         vals = basis_phi(n, x, beta)
         np.testing.assert_allclose(vals, refs, rtol=1e-12)
         assert basis_phi(n, 1.3, beta) == vals[0]
+
+    @pytest.mark.parametrize("size", [1, 10, 40, 100])
+    def test_rows_of_the_one_row_step(self, size):
+        """basis_phi and a coefficient sample, in the blocks they choose (no longer than the
+        rows they use), get the one-row step's values bit for bit at every point count."""
+        x = np.linspace(-3.0, 3.0, size)
+        rows = np.concatenate(list(itertools.islice(transforms_module._phi_rows(0.5, x, 1), 101)))
+        for n in (0, 3, 63, 64, 100):
+            assert np.array_equal(basis_phi(n, x, 0.5), rows[n])
+        coeffs = np.array([1.0, 0.25 - 0.5j, 0.0, -0.75 + 0.125j])
+        f = SampledFunction(kind="coeffs", beta=0.5, coeffs=coeffs)
+        assert np.array_equal(f.sample(x), sum((a * r for a, r in zip(coeffs, rows)), np.zeros(size, complex)))
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 1.7])
     def test_orthonormal(self, beta):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -5,8 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cstk import coherent, poly2d, transforms, verify
+from cstk import coherent, poly2d, quadrature, transforms, verify
 from cstk.errors import NumericError
+from cstk.oracles import assoc_hermite
+from cstk.poly2d import ModeIndex, h_poly
+from cstk.specfun import pochhammer
 
 # the named (error, tolerance) pairs of each report, in order
 PAIRS = {
@@ -120,6 +124,25 @@ class TestReducedChecks:
         assert rep.passed and rep.details["min_density"] >= 0.0
 
 
+class TestSharedRows:
+    """The checks that walk shared rows get the values of the per-index calls, bit for bit."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.3])
+    def test_orthogonality_rows_are_h_poly(self, beta):
+        nodes = quadrature.polar_rule(6, 8, beta).complex_points()
+        nodes = np.concatenate([nodes, [0j, -1.5, 2j, complex(-0.0, -0.7)]])  # zero, and real and imaginary points
+        rows = verify._h_table(6, beta, nodes, np.empty((49, nodes.size), complex))
+        for i, (j, n) in enumerate(itertools.product(range(7), repeat=2)):
+            assert rows[i].tobytes() == h_poly(ModeIndex(j, n, beta), nodes).tobytes(), (j, n)
+
+    def test_generating_terms_are_the_per_degree_formula(self):
+        for beta, c, x, t in itertools.product((0.0, 1.2), (1.0, 2.2), (0.0, 0.3, 1.0), (0.4 + 0j, -0.31 + 0.27j)):
+            terms = itertools.islice(verify._generating_terms(np.complex128(t), x, beta, c), 60)
+            for n, term in enumerate(terms):
+                ref = np.complex128(t) ** n * assoc_hermite(n, x, beta) / pochhammer(c, n)
+                assert type(term) is np.complex128 and term.tobytes() == ref.tobytes(), (beta, c, x, t, n)
+
+
 def _nan(*args):
     return math.nan
 
@@ -144,8 +167,8 @@ NAN_CASES = {
         _nan_like,
     ),
     "orthogonality-2d": (
-        lambda: verify.check_orthogonality_2d(betas=(0.5,), nmax=2, n_r=8, n_theta=16), poly2d, "h_poly",
-        lambda idx, z: _nan_like(z),
+        lambda: verify.check_orthogonality_2d(betas=(0.5,), nmax=2, n_r=8, n_theta=16), poly2d, "_h_rows",
+        lambda d, beta, z: itertools.repeat(lambda upper: _nan_like(z)),
     ),
     "assoc-hermite": (
         lambda: verify.check_assoc_hermite(betas=(0.0,), nmax=2), verify, "assoc_hermite",

@@ -117,6 +117,8 @@ def main() -> int:
     # distant states w ~ -z: the overlap is far below the norms' geometric mean
     distant = [(m, beta, complex(r * np.exp(0.4j)), complex(-r * np.exp(0.45j)))
                for m in (0, 4, 8) for beta in (0.0, 2.3) for r in (1.5, 2.0, 3.0, 4.5)]
+    # past beta = 170, where Gamma(beta + 1) overflows float64
+    large_beta = [(2, beta, 1 + 0.5j, 0.8 + 0j) for beta in (171.0, 200.0, 400.0)]
     # kernel_K where the former Kummer-only route was off: z = w = 6 and 10, then t = z wbar with w = 1
     kernel = [(0.5, 6, 6), (2.3, 6, 6), (2.3, 10, 10)]
     kernel += [(beta, t, 1) for beta in (0.0, 1.7) for t in (36, -36, 100, 9j, -9 + 0.1j)]
@@ -126,6 +128,7 @@ def main() -> int:
         "overlap_m8_wide": _overlap_rows(wide),
         "overlap_m8_large_z": _overlap_rows(large_z),
         "overlap_distant": _overlap_rows(distant),
+        "overlap_large_beta": _overlap_rows(large_beta),
     }
     text = "{\n" + ",\n".join(
         f' "{key}": [\n' + ",\n".join("  " + json.dumps(row) for row in rows) + "\n ]" for key, rows in data.items()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -204,21 +205,23 @@ def cmd_transform(args, cfg: CliConfig) -> int:
 
 def cmd_table(args, cfg: CliConfig) -> int:
     meas = measures.GammaMeasure(beta=args.beta)
+    ns = range(args.nmax + 1)
     if args.object == "moments":
-        columns = ["n", "mu_{n+beta}"]
-        rows = [[n, format_real(meas.moment(n + args.beta))] for n in range(args.nmax + 1)]
+        columns, keys, value = ["n", "mu_{n+beta}"], [(n,) for n in ns], lambda n: meas.moment(n + args.beta)
     elif args.object == "factorials":
-        columns = ["n", "m", "x_{n,m}^beta!"]
-        rows = [
-            [n, m, format_real(measures.gen_factorial(meas, n, m))]
-            for n in range(args.nmax + 1)
-            for m in range(args.mmax + 1)
-        ]
+        columns, keys = ["n", "m", "x_{n,m}^beta!"], itertools.product(ns, range(args.mmax + 1))
+        value = lambda n, m: measures.gen_factorial(meas, n, m)
     elif args.object == "eigenvalues":
-        columns = ["n", "x_n^beta"]
-        rows = [[n, format_real(measures.hamiltonian_eigen(meas, n))] for n in range(args.nmax + 1)]
+        columns, keys, value = ["n", "x_n^beta"], [(n,) for n in ns], lambda n: measures.hamiltonian_eigen(meas, n)
     else:  # pragma: no cover
         raise ValueError(args.object)
+    rows = []
+    for key in keys:
+        try:
+            rows.append([*key, format_real(value(*key))])
+        except OverflowError:  # the value itself leaves float64
+            at = ", ".join(f"{name}={k}" for name, k in zip(columns, key))
+            raise NumericError(f"{columns[-1]} leaves the float64 range at {at}, beta={args.beta}") from None
     payload = {"object": args.object, "params": {"beta": args.beta}, "columns": columns, "rows": rows}
     _emit(args, cfg, payload)
     return EXIT_OK

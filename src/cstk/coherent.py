@@ -71,6 +71,7 @@ def norm_closed_m0(beta: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) 
     return _m0_series(t, beta, ctl).real
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the exit check raises there
 def _m0_series(t, beta: float, ctl: SeriesControl, scale: float = 1.0) -> complex:
     """S(t) / scale, S(t) = M(1; beta+1; t), by specfun._kummer_series in long double, as Kummer's
     e^t M(beta; beta+1; -t) (DLMF 13.2.39) where Re t < 0; the exit check raises where eps_ld sum |term|
@@ -89,24 +90,17 @@ def _m0_series(t, beta: float, ctl: SeriesControl, scale: float = 1.0) -> comple
 
 def _norm(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     """The squared norm N_{beta,m}(z zbar) = sum_n |c_n(z)|^2, the bracket on
-    the diagonal: one poly2d._p_rows generator summed in long double, a block
-    of rows at a time.
+    the diagonal.  |P~_{n,m}(z)| = |P~_{n,m}(|z|)|, so the rows of one poly2d._p_rows
+    generator at the radius |z|, formed in long double, are real: their squares are
+    summed in long double, a block of rows at a time, and divided by Gamma(beta+1).
 
     ``z`` may be a scalar or an array; returns real values of its shape.
     The exit check raises NumericError where N overflows float64 (|z| of about 27 and up).
     """
-    rows = _p_rows(m, beta, np.asarray(z, dtype=np.clongdouble))
-    total = _bracket_sum((r * np.conj(r) for r in rows), m, beta, ctl).real
-    return _exit_check("the squared norm", total, lambda i: f"m={m}, beta={beta}")
-
-
-def _bracket_sum(terms, m: int, beta: float, ctl: SeriesControl):
-    """The row sum of bracket terms row(z) conj(row(w)) = c_n(w) conj(c_n(z)),
-    given in blocks of rows, divided by Gamma(beta+1), in long double.  The
-    stopping test compares the terms with their own partial sum, which for
-    distant states lies far below sqrt(N_z N_w)."""
-    total, _ = _row_sum(terms, m, ctl, "coherent bracket")
-    return total / np.longdouble(gamma_fn(beta + 1.0))
+    z = np.asarray(z)
+    x, y = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
+    total, _ = _row_sum((r * r for r in _p_rows(m, beta, np.sqrt(x * x + y * y))), m, ctl, "the squared norm")
+    return _exit_check("the squared norm", total / np.longdouble(gamma_fn(beta + 1.0)), lambda i: f"m={m}, beta={beta}")
 
 
 def overlap_closed(z: complex, w: complex, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
@@ -114,15 +108,18 @@ def overlap_closed(z: complex, w: complex, m: int, beta: float, ctl: SeriesContr
 
     The brackets (z, w), (z, z) and (w, w) are evaluated in one call and
     divided in long double by sqrt(N_z) sqrt(N_w), so the quotient is rounded once and stays
-    finite where N_z N_w overflows float64 or long double (|z| of about 75 and up).  The diagonal
-    overlap is exactly 1 by construction.  Leaves through specfun._exit_check (NumericError).
+    finite where N_z N_w overflows float64 or long double (|z| of about 75 and up).  The sums
+    keep the factor Gamma(beta+1) of the rows, which cancels, so the overlap holds past
+    beta = 170 too.  Their stopping test compares the terms with their own partial sums, which
+    for distant states lie far below sqrt(N_z N_w).  The diagonal overlap is exactly 1 by
+    construction.  Leaves through specfun._exit_check (NumericError).
     """
     _require_beta(beta)
     _require_finite("z", z)
     _require_finite("w", w)
     rows = _p_rows(m, beta, np.array([z, w], dtype=np.clongdouble))  # one generator for both states
+    (cross, nz, nw), _ = _row_sum((r[:, [0, 0, 1]] * np.conj(r[:, [1, 0, 1]]) for r in rows), m, ctl, "coherent bracket")
     with np.errstate(over="ignore", invalid="ignore"):  # the exit check raises there
-        cross, nz, nw = _bracket_sum((r[:, [0, 0, 1]] * np.conj(r[:, [1, 0, 1]]) for r in rows), m, beta, ctl)
         value = cross / (np.sqrt(nz.real) * np.sqrt(nw.real))
     return complex(_exit_check("overlap_closed", value, lambda i: f"m={m}, beta={beta}, z={z}, w={w}"))
 

@@ -158,10 +158,12 @@ def load_moments(path) -> TabulatedMeasure:
 
 
 def x_seq(measure: MomentMeasure, n: int) -> float:
-    """x_n^beta = mu_{n+beta} / mu_{n+beta-1}, n >= 1."""
+    """x_n^beta = mu_{n+beta} / mu_{n+beta-1}, n >= 1; n + beta for the builtin measure."""
     if n < 1:
         raise ValueError("x_seq requires n >= 1")
     beta = measure.beta
+    if measure.is_builtin:
+        return n + beta
     num = measure.moment(n + beta)
     den = measure.moment(n - 1 + beta)
     val = num / den
@@ -195,13 +197,20 @@ def x_gen(measure: MomentMeasure, n: int, m: int) -> float:
 
 
 def gen_factorial(measure: MomentMeasure, n: int, m: int) -> float:
-    """Generalized factorial x_{n,m}^beta! = zeta_{n^m}(|n-m|+beta) / zeta_0(m+beta)."""
+    """Generalized factorial x_{n,m}^beta! = zeta_{n^m}(|n-m|+beta) / zeta_0(m+beta).
+
+    For the builtin measure Gamma(beta+max(n,m)+1) / (min(n,m)! Gamma(beta+m+1)), taken from
+    math.lgamma differences where Gamma overflows float64; OverflowError where the value does.
+    """
     if n < 0 or m < 0:
         raise ValueError("indices must be non-negative")
     if n == 0:
         return 1.0
     beta = measure.beta
-    return zeta(measure, min(n, m), abs(n - m) + beta) / zeta(measure, 0, m + beta)
+    try:
+        return zeta(measure, min(n, m), abs(n - m) + beta) / zeta(measure, 0, m + beta)
+    except OverflowError:  # only the builtin zeta, Gamma(alpha+n+1) / n!, overflows
+        return math.exp(math.lgamma(beta + max(n, m) + 1.0) - math.lgamma(min(n, m) + 1.0) - math.lgamma(beta + m + 1.0))
 
 
 def hamiltonian_eigen(measure: MomentMeasure, n: int) -> float:

@@ -200,7 +200,8 @@ def _block_len(points: int) -> int:
 
 def _p_rows(m: int, beta: float, w, block: int | None = None):
     """Endless generator of sqrt(Gamma(beta+1)) P~_{n,m}(w), n = 0, 1, ..., at a
-    scalar or array w, in its precision (complex128 or clongdouble):
+    scalar or array w, in its dtype (complex128, clongdouble, or a real dtype
+    at radii w >= 0, where the rows are real):
 
         n <  m:  (-1)^n wbar^{m-n} L_n^(m-n+beta)(|w|^2) sqrt(n! / Gamma(beta+m+1))
         n >= m:  (-1)^m sqrt(m!) w^{n-m} L_m^(n-m+beta)(|w|^2) / sqrt(Gamma(beta+n+1)),
@@ -296,6 +297,7 @@ def _tail_rows(m: int, beta: float, w, n: int, count: int, mono, lag):
     return monos[: 2 * count : 2] * lags[m, :count], monos[-1], lags[:, count]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the caller's exit check raises there
 def _row_sum(blocks, m: int, ctl: SeriesControl, what: str):
     """Sum the long-double terms n = 0, 1, ... of a series over P~_{n,m} rows,
     given in blocks of consecutive terms (shape (rows,) + point shape), until,

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import cstk
@@ -145,8 +146,10 @@ class TestEval:
 
     def test_overflow_error_exit_code(self, capsys):
         # x_{n,m}! past float64 raised OverflowError out of main
-        code, out = run(capsys, "table", "factorials", "--beta", "0", "--nmax", "200", "--mmax", "200")
+        code = cli.main(["table", "factorials", "--beta", "0", "--nmax", "200", "--mmax", "200"])
+        out, err = capsys.readouterr()
         assert code == 3 and out == ""
+        assert err == "numeric failure: x_{n,m}^beta! leaves the float64 range at n=171, m=0, beta=0.0\n"
 
     def test_byte_identical_reruns(self, capsys):
         _, out1 = run(capsys, "eval", "overlap", "--m", "1", "--beta", "0.5", "--z", "0.4+0.2i", "--w", "0.1-0.3i")
@@ -175,6 +178,33 @@ class TestTable:
         assert code == 0
         vals = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
         assert vals == [pytest.approx(v) for v in [1.0, 1.0, 2.0, 6.0, 24.0]]
+
+    def test_factorials_past_gamma_overflow(self, capsys):
+        # Gamma(beta + n + 1) overflows float64 from n = 71, x_{80,0}! = 2.2e171 does not: it exited 3
+        code, out = run(capsys, "--format", "csv", "table", "factorials", "--beta", "100", "--nmax", "80", "--mmax", "2")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 81 * 3
+        with mp.workdps(30):
+            for n, m, v in rows:
+                n, m = int(n), int(m)
+                ref = mp.gamma(101 + max(n, m)) / (mp.factorial(min(n, m)) * mp.gamma(101 + m))
+                assert abs(float(v) - ref) <= 1e-12 * ref, (n, m)
+
+    @pytest.mark.parametrize("beta, nmax", [(100.0, 80), (0.5, 170)])
+    def test_eigenvalues_exact(self, capsys, beta, nmax):
+        # x_n = n + beta: the Gamma ratio exited 3 at beta = 100, and printed 170.50000000000003 for x_170
+        code, out = run(capsys, "--format", "csv", "table", "eigenvalues", "--beta", str(beta), "--nmax", str(nmax))
+        assert code == 0
+        vals = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert vals == [0.0] + [n + beta for n in range(1, nmax + 1)]
+        assert out.endswith(f"\n{nmax},{nmax + beta:.17g}\n")
+
+    def test_moments_past_float64_name_their_entry(self, capsys):
+        code = cli.main(["table", "moments", "--beta", "100", "--nmax", "80"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == "numeric failure: mu_{n+beta} leaves the float64 range at n=71, beta=100.0\n"
 
 
 class TestTransformCommand:
@@ -376,18 +406,22 @@ def test_import_path_leaves_scipy_and_mpmath_unloaded(tmp_path):
 
 def test_past_float64_exits_3_under_warnings_as_errors(tmp_path):
     # the transform exited 1 with a RuntimeWarning traceback, and printed nan+nani with exit 0
-    # without -W error; the kernel printed inf+0i with exit 0
+    # without -W error; the kernel printed inf+0i with exit 0; at |z| = 160, where the rows
+    # leave long double, the norm and the kernel exited 1 with a RuntimeWarning traceback
     fpath, tpath = tmp_path / "f.txt", tmp_path / "targets.txt"
     fpath.write_text("# kind=coeffs beta=0.5\n" + "1\n" * 400)
     tpath.write_text("100\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cstk.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
-    for argv in (
-        ["transform", "--input", str(fpath), "--targets", str(tpath), "--m", "2", "--beta", "0.5"],
-        ["--max-terms", "20000", "eval", "kernel", "--m", "0", "--beta", "0", "--z", "30", "--x", "40"],
+    range_msg = "leaves the float64 range"
+    for argv, message in (
+        (["transform", "--input", str(fpath), "--targets", str(tpath), "--m", "2", "--beta", "0.5"], range_msg),
+        (["--max-terms", "20000", "eval", "kernel", "--m", "0", "--beta", "0", "--z", "30", "--x", "40"], range_msg),
+        (["--max-terms", "60000", "eval", "norm", "--m", "2", "--beta", "0.5", "--z", "160"], range_msg),
+        (["--max-terms", "60000", "eval", "kernel", "--m", "0", "--beta", "0", "--z", "160", "--x", "0"], "misses 1e-10"),
     ):
         for flags in ([], ["-W", "error"]):
             cmd = [sys.executable, *flags, "-m", "cstk.cli", *argv]
             proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 3 and proc.stdout == "", (flags, argv, proc.stderr)
-            assert proc.stderr.startswith("numeric failure:") and "leaves the float64 range" in proc.stderr
+            assert proc.stderr.startswith("numeric failure:") and message in proc.stderr

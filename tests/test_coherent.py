@@ -20,9 +20,10 @@ from cstk.coherent import (
 )
 from cstk.errors import ConvergenceError, NumericError
 from cstk.oracles import closed_bracket, hyp_pfq, mittag_leffler
-from cstk.poly2d import ModeIndex, p_norm
+from cstk.poly2d import ModeIndex, _p_rows, _row_sum, p_norm
 from cstk.specfun import SeriesControl, gamma_fn, pochhammer
 
+WIDE = SeriesControl(max_terms=5000)  # budget enough for |z| = 20
 disk = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 # mpmath sums of the coefficient series, written by scripts/coherent_reference.py
 REFERENCE = json.loads((Path(__file__).resolve().parent / "data" / "coherent_reference.json").read_text())
@@ -202,6 +203,11 @@ class TestOverlap:
             ref = complex(cross / mp.sqrt(nz * nw))
         assert abs(overlap_closed(z, w, 0, beta, SeriesControl(max_terms=40000)) - ref) <= 1e-12
 
+    def test_past_gamma_overflow_against_mpmath(self):
+        # Gamma(beta + 1) overflows float64 from beta = 171, and it cancels in the quotient: OverflowError before
+        for m, beta, z, w, ref in _overlap_cases("overlap_large_beta"):
+            assert abs(overlap_closed(z, w, m, beta) - ref) <= 1e-13
+
     def test_distant_against_mpmath(self):
         # w ~ -z: the overlap lies far below the norms; the closed form was 6.7e-11
         # off (relative) at m = 0, beta = 0, |z| = 3, where float64 rows give 8.1e-10
@@ -213,7 +219,30 @@ class TestOverlap:
                 assert err <= 1e-18
 
 
+def _complex_row_norm(z, m, beta, ctl):
+    """The squared norm as summed from complex rows, kept as a reference: poly2d._p_rows at z
+    in complex long double, each row times its conjugate, divided by Gamma(beta+1)."""
+    rows = _p_rows(m, beta, np.asarray(z, dtype=np.clongdouble))
+    total, _ = _row_sum((r * np.conj(r) for r in rows), m, ctl, "reference")
+    return (total.real / np.longdouble(gamma_fn(beta + 1.0))).astype(float)
+
+
 class TestBracket:
+    def test_real_rows_match_complex_rows(self):
+        # |P~_{n,m}(z)| = |P~_{n,m}(|z|)|: the rows at the radius give N within 1 ulp of the
+        # complex rows' sum, and eta within 2 eps, at 1 080 points with |z| <= 20
+        rng = np.random.default_rng(13)
+        eps = np.finfo(float).eps
+        for m in range(9):
+            for beta in (0.0, 0.5, 1.0, 2.3, 3.5):
+                r = np.concatenate(([0.0, 1e-6], rng.uniform(0.0, 20.0, 22)))
+                z = r * np.exp(2j * np.pi * rng.uniform(size=r.size))
+                ref = _complex_row_norm(z, m, beta, WIDE)
+                assert np.all(np.abs(_norm(z, m, beta, WIDE) - ref) <= np.spacing(ref))
+                t = (z * z.conj()).real
+                ref_eta = ref * t**beta * np.exp(-t)
+                assert np.all(np.abs(eta_density(z, m, beta, WIDE) - ref_eta) <= 2 * eps * ref_eta)
+
     @pytest.mark.parametrize("m", [0, 3, 8])
     def test_arrays_match_pointwise(self, m):
         # the diagonal bracket _norm on an array against its scalar calls

@@ -16,6 +16,7 @@ from cstk.specfun import SeriesControl, _exit_check
 from cstk.transforms import SampledFunction, apply_transform, basis_phi, kernel_B, omega_weight
 
 WIDE = SeriesControl(max_terms=20000)
+PAST_LD = SeriesControl(max_terms=60000)  # budget enough for |z| = 160, where the rows leave long double
 GAMMA = CallableMeasure(moment_fn=lambda s: math.gamma(s + 1), beta=0.5)  # p_norm's generic route
 
 # (call, the start of the message); "misses" where the estimate fails, else the range
@@ -54,6 +55,18 @@ PAST_FLOAT64 = {
         lambda: apply_transform(SampledFunction(kind="coeffs", beta=0.5, coeffs=np.ones(400)), 2, 0.5, [100]),
         "apply_transform leaves the float64 range",
     ),
+    # the rows or the exponential leave long double: numpy warned there, an error under -W error; the
+    # kernel_B sum ran its whole budget on nan terms (0.3 s), then raised ConvergenceError
+    "norm_series_long_double": (
+        lambda: norm_series(CoherentSpec(z=160 + 0j, idx_m=2, beta=0.5, truncation=PAST_LD)),
+        "the squared norm leaves the float64 range",
+    ),
+    "norm_series_long_double_m0": (
+        lambda: norm_series(CoherentSpec(z=160 + 0j, idx_m=0, beta=0.5, truncation=PAST_LD)),
+        "the squared norm leaves the float64 range",
+    ),
+    "kernel_K_long_double": (lambda: kernel_K(160, 150, 0.5, PAST_LD), "the m=0 series leaves the float64 range"),
+    "kernel_B_long_double": (lambda: kernel_B(0, 0.0, 160, 0.0, PAST_LD), "kernel_B misses 1e-10 at m=0, beta=0.0"),
 }
 
 
@@ -67,15 +80,6 @@ def test_past_float64_raises(name, warning_filter):
             call()
     assert type(info.value) is NumericError  # not a ConvergenceError from the budget
     assert str(info.value).startswith(message)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_sum_past_long_double_raises_at_once():
-    # the rows leave long double by |z| = 160, and the sum ran its whole 60000-term
-    # budget on nan terms (0.3 s), then raised ConvergenceError
-    with pytest.raises(NumericError, match="^kernel_B misses 1e-10 at m=0, beta=0.0") as info:
-        kernel_B(0, 0.0, 160, 0.0, SeriesControl(max_terms=60000))
-    assert type(info.value) is NumericError
 
 
 class TestExitCheck:

@@ -271,6 +271,12 @@ row_cases = st.tuples(
 
 
 BLOCKS = sorted({16, _block_len(1)})  # the lengths of a block of rows under test besides one row
+ROW_DTYPES = [np.complex128, np.clongdouble, np.longdouble]  # long double: the real radii of the squared norm
+
+
+def _row_points(pts, dtype):
+    """The points as an array of ``dtype``; their moduli where it is real."""
+    return np.array(np.abs(pts) if np.dtype(dtype).kind == "f" else pts, dtype=dtype)
 
 
 class TestRowBlocks:
@@ -279,19 +285,22 @@ class TestRowBlocks:
 
     @staticmethod
     def _points(shape, pts, dtype):
-        return np.array(pts[: int(np.prod(shape))], dtype=dtype).reshape(shape)
+        return _row_points(pts[: int(np.prod(shape))], dtype).reshape(shape)
 
-    @given(row_cases, st.sampled_from([np.complex128, np.clongdouble]))
+    @given(row_cases, st.sampled_from(ROW_DTYPES))
     @settings(max_examples=60, deadline=None)
     def test_blocks_match_single_rows(self, case, dtype):
         m, beta, shape, pts = case
         w = self._points(shape, pts, dtype)
         single = np.concatenate(list(itertools.islice(_p_rows(m, beta, w, 1), 3 * max(BLOCKS))))
+        if dtype == np.longdouble:  # the real parts of the rows at the same points in complex long double
+            in_complex = itertools.islice(_p_rows(m, beta, w.astype(np.clongdouble), 1), 3 * max(BLOCKS))
+            assert single.dtype == dtype and np.array_equal(single, np.concatenate(list(in_complex)).real)
         for block in BLOCKS:
             blocks = list(itertools.islice(_p_rows(m, beta, w, block), 3))
             assert all(b.shape == (block,) + shape for b in blocks)
             rows = np.concatenate(blocks)
-            if dtype == np.clongdouble:
+            if dtype != np.complex128:
                 assert np.array_equal(rows, single[: 3 * block])
             else:
                 # numpy's complex128 multiply may round a product differently in its
@@ -300,7 +309,7 @@ class TestRowBlocks:
                 steps = np.maximum(np.arange(48) - m, 0).reshape((48,) + (1,) * len(shape))
                 assert np.all(np.abs(rows[:48] - single[:48]) <= steps * np.finfo(float).eps * np.abs(single[:48]))
 
-    @given(row_cases, st.sampled_from([np.complex128, np.clongdouble]))
+    @given(row_cases, st.sampled_from(ROW_DTYPES))
     @settings(max_examples=60, deadline=None)
     def test_laguerre_factors_bitwise(self, case, dtype):
         m, beta, shape, pts = case
@@ -397,7 +406,7 @@ start_cases = st.tuples(
     st.sampled_from([0.0, 0.5, 2.3]),
     st.sampled_from([(), (1,), (64,)]),  # a scalar, one point (started on numpy scalars) and a point set
     st.lists(row_points, min_size=64, max_size=64),
-    st.sampled_from([np.complex128, np.clongdouble]),
+    st.sampled_from(ROW_DTYPES),
 )
 
 
@@ -447,7 +456,7 @@ class TestRowStart:
     @settings(max_examples=50, deadline=None)
     def test_rows_against_table_start(self, case):
         m, beta, shape, pts, dtype = case
-        w = np.array(pts[: int(np.prod(shape))], dtype=dtype).reshape(shape)
+        w = _row_points(pts[: int(np.prod(shape))], dtype).reshape(shape)
         if not shape:
             w = w[()]  # a numpy scalar, as kernel_B passes it
         head, mono, lag = _table_start(m, beta, w)
@@ -490,7 +499,7 @@ class TestRowStart:
         array get the rows the point gets inside a 64-point array, bit for bit,
         in blocks of ``block`` rows and of the default length at one point."""
         m, beta, _, pts, dtype = case
-        w = np.array(pts, dtype=dtype)
+        w = _row_points(pts, dtype)
         for size in (block, _block_len(1)):
             rows = np.concatenate(list(itertools.islice(_p_rows(m, beta, w, size), 2 + 32 // size)))
             for i in (0, 17, 63):

@@ -68,6 +68,11 @@ def overlap(z, w, m, beta):
         return complex(cross / mp.sqrt(nz * nw))
 
 
+def norm(z, m, beta):
+    with mp.workdps(DPS):
+        return float(_sums(z, z, m, beta)[1])
+
+
 def eta(z, m, beta):
     with mp.workdps(DPS):
         _, nz, _ = _sums(z, z, m, beta)
@@ -122,9 +127,18 @@ def main() -> int:
     # kernel_K where the former Kummer-only route was off: z = w = 6 and 10, then t = z wbar with w = 1
     kernel = [(0.5, 6, 6), (2.3, 6, 6), (2.3, 10, 10)]
     kernel += [(beta, t, 1) for beta in (0.0, 1.7) for t in (36, -36, 100, 9j, -9 + 0.1j)]
+    # past beta = 170 at the smallest t = |z|^2 in 50 where the value is normal in float64
+    # (250, 600 and 2500, from about 550 up with a raised --max-terms); eta only returns at 171
+    large_beta_t = {171.0: 250.0, 200.0: 600.0, 400.0: 2500.0}
+    large_beta_norm = [(2, 171.0, 1.0)] + [(2, beta, math.sqrt(t)) for beta, t in large_beta_t.items()]
+    large_beta_kernel = [(beta, math.sqrt(t), math.sqrt(t)) for beta, t in large_beta_t.items()]
     data = {
         "kernel_K": [[beta, *_pair(z), *_pair(w), *_pair(kernel_K(z, w, beta))] for beta, z, w in kernel],
         "eta": [[8, beta, 6.0, 0.0, eta(6.0, 8, beta)] for beta in (0.5, 2.3)],
+        "norm_large_beta": [[m, beta, z, 0.0, norm(z, m, beta)] for m, beta, z in large_beta_norm],
+        "eta_large_beta": [[2, 171.0, z, 0.0, eta(z, 2, 171.0)] for z in (1.0, 5.0)],
+        "kernel_K_large_beta": [[beta, *_pair(z), *_pair(w), *_pair(kernel_K(z, w, beta))]
+                                for beta, z, w in large_beta_kernel],
         "overlap_m8_wide": _overlap_rows(wide),
         "overlap_m8_large_z": _overlap_rows(large_z),
         "overlap_distant": _overlap_rows(distant),

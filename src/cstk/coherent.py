@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly2d import _EPS_LD, _p_rows, _row_sum
-from .specfun import DEFAULT_CONTROL, SeriesControl, _exit_check, _kummer_series, _require_beta, _require_finite, gamma_fn
+from .specfun import DEFAULT_CONTROL, SeriesControl, _exit_check, _gamma_ld, _kummer_series, _require_beta, _require_finite
 
 __all__ = [
     "CoherentSpec",
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _M0_TARGET = 1e-12  # the relative rounding estimate past which kernel_K and norm_closed_m0 raise
+_TINY = np.finfo(float).tiny  # the smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def norm_closed_m0(beta: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) 
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the exit check raises there
-def _m0_series(t, beta: float, ctl: SeriesControl, scale: float = 1.0) -> complex:
+def _m0_series(t, beta: float, ctl: SeriesControl, scale: float | np.longdouble = 1.0) -> complex:
     """S(t) / scale, S(t) = M(1; beta+1; t), by specfun._kummer_series in long double, as Kummer's
     e^t M(beta; beta+1; -t) (DLMF 13.2.39) where Re t < 0; the exit check raises where eps_ld sum |term|
     is not below _M0_TARGET of the sum or the value leaves the normal float64 range."""
@@ -82,7 +83,7 @@ def _m0_series(t, beta: float, ctl: SeriesControl, scale: float = 1.0) -> comple
     sums, absums, (e,) = _kummer_series((pair,), np.array([y]), ctl.max_terms)
     total, absum = sums[0, 0], absums[0, 0]
     value = total * np.exp(ln_factor + e * np.log(np.longdouble(2))) / np.longdouble(scale)
-    value = value if abs(value) >= np.finfo(float).tiny else np.nan  # below the normal range digits are lost
+    value = value if abs(value) >= _TINY else np.nan  # below the normal range digits are lost
     return complex(_exit_check(
         "the m=0 series", value, lambda i: f"beta={beta}, t={complex(t)}", _EPS_LD * absum, _M0_TARGET, abs(total)
     ))
@@ -92,15 +93,19 @@ def _norm(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     """The squared norm N_{beta,m}(z zbar) = sum_n |c_n(z)|^2, the bracket on
     the diagonal.  |P~_{n,m}(z)| = |P~_{n,m}(|z|)|, so the rows of one poly2d._p_rows
     generator at the radius |z|, formed in long double, are real: their squares are
-    summed in long double, a block of rows at a time, and divided by Gamma(beta+1).
+    summed in long double, a block of rows at a time, and divided by Gamma(beta+1),
+    taken in long double past beta = 170.
 
     ``z`` may be a scalar or an array; returns real values of its shape.
-    The exit check raises NumericError where N overflows float64 (|z| of about 27 and up).
+    The exit check raises NumericError where N overflows float64 (|z| of about 27 and up),
+    or falls below its normal range (as it does near the origin from beta of about 171).
     """
     z = np.asarray(z)
     x, y = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
     total, _ = _row_sum((r * r for r in _p_rows(m, beta, np.sqrt(x * x + y * y))), m, ctl, "the squared norm")
-    return _exit_check("the squared norm", total / np.longdouble(gamma_fn(beta + 1.0)), lambda i: f"m={m}, beta={beta}")
+    value = total / _gamma_ld(beta + 1.0)
+    value = np.where(value >= _TINY, value, np.nan)  # N > 0: below the normal range digits are lost
+    return _exit_check("the squared norm", value, lambda i: f"m={m}, beta={beta}")
 
 
 def overlap_closed(z: complex, w: complex, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
@@ -130,7 +135,7 @@ def kernel_K(z: complex, w: complex, beta: float, ctl: SeriesControl = DEFAULT_C
     _require_beta(beta)
     _require_finite("z", z)
     _require_finite("w", w)
-    return _m0_series(complex(z) * complex(w).conjugate(), beta, ctl, gamma_fn(beta + 1.0))
+    return _m0_series(complex(z) * complex(w).conjugate(), beta, ctl, _gamma_ld(beta + 1.0))
 
 
 def eta_density(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
@@ -148,7 +153,7 @@ def eta_density(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     z = np.asarray(z, dtype=complex)
     t = (z * z.conj()).real
     decay = np.exp(-t)
-    decay = np.where(decay >= np.finfo(float).tiny, decay, np.nan)  # below the normal range digits are lost
+    decay = np.where(decay >= _TINY, decay, np.nan)  # below the normal range digits are lost
     with np.errstate(over="ignore", invalid="ignore"):  # the exit check raises there
         out = _exit_check("eta_density", _norm(z, m, beta, ctl) * t**beta * decay, lambda i: f"m={m}, beta={beta}")
     return out if out.ndim else float(out)

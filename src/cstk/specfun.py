@@ -99,6 +99,21 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
+def _gamma_ld(x: float) -> np.longdouble:
+    """Gamma(x), x > 0, in long double: gamma_fn's float64 value where that is finite (its bits), past
+    it gamma_fn(x - k), x - k <= 170, times the long-double product (x-k)(x-k+1)...(x-1), which adds
+    k roundings of eps_ld to gamma_fn's error.  inf past x of about 1755.5, with no warning: the callers'
+    exit checks raise there."""
+    try:
+        return np.longdouble(gamma_fn(x))
+    except OverflowError:
+        if x > 1756.0:  # past the long-double range: inf without a product of x - 170 factors
+            return np.longdouble(np.inf)
+        k = math.ceil(x - 170.0)
+        with np.errstate(over="ignore"):
+            return np.longdouble(gamma_fn(x - k)) * np.prod(np.longdouble(x - k) + np.arange(k, dtype=np.longdouble))
+
+
 def rgamma(x: float) -> float:
     """Reciprocal Gamma, entire: returns 0 at the poles of Gamma."""
     if _is_nonpositive_integer(x):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericError
 from .formats import parse_complex, read_data
 from .poly2d import _block_len, _p_rows, _row_sum
 from .quadrature import QuadratureRule
@@ -380,6 +380,10 @@ def apply_transform(
     _require_beta(beta)
     if abs(f.beta - beta) > 1e-12:
         raise ValueError("function beta and transform beta disagree")
+    try:
+        norm = math.sqrt(gamma_fn(beta + 1.0))
+    except OverflowError:  # the values, of the size of 1/sqrt(Gamma(beta+1)), can underflow unchecked: refused
+        raise NumericError(f"apply_transform leaves the float64 range at beta={beta}: past beta = 170") from None
     zs = np.asarray(targets, dtype=complex).ravel()
     _require_finite("targets", zs)
     out = np.zeros(len(zs), dtype=complex)
@@ -419,6 +423,6 @@ def apply_transform(
             rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, rule.weights))
         else:
             raise ConvergenceError(f"transform series not converged in {ctl.max_terms} terms")
-    out /= math.sqrt(gamma_fn(beta + 1.0))
+    out /= norm
     out = _exit_check("apply_transform", out, lambda i: f"m={m}, beta={beta}, z={zs[i]}")
     return out.tolist()  # Python complexes; complex() per element costs as much as the sum

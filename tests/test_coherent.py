@@ -358,3 +358,34 @@ class TestEtaDensity:
         spec = CoherentSpec(z=z, idx_m=m, beta=beta)
         ref = norm_series(spec) * t**beta * math.exp(-t)
         assert eta_density(z, m, beta) == pytest.approx(ref, rel=1e-9)
+
+
+class TestPastGammaOverflow:
+    """Past beta = 170 Gamma(beta+1) overflows float64 and is taken in long double (OverflowError
+    before); each value that returns is held to the 50-digit sums of scripts/coherent_reference.py.
+    Where the value itself is below the normal float64 range the evaluator raises (tests/test_exit.py)."""
+
+    WIDER = SeriesControl(max_terms=20000)  # t = |z|^2 up to 2500
+
+    def test_norm_series(self):
+        for m, beta, zr, zi, ref in REFERENCE["norm_large_beta"]:
+            spec = CoherentSpec(z=complex(zr, zi), idx_m=m, beta=beta, truncation=self.WIDER)
+            assert norm_series(spec) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_eta_density(self):
+        for m, beta, zr, zi, ref in REFERENCE["eta_large_beta"]:
+            assert eta_density(complex(zr, zi), m, beta) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_kernel_K(self):
+        for beta, zr, zi, wr, wi, kr, ki in REFERENCE["kernel_K_large_beta"]:
+            val = kernel_K(complex(zr, zi), complex(wr, wi), beta, self.WIDER)
+            assert abs(val - complex(kr, ki)) <= 1e-12 * abs(complex(kr, ki))
+
+    def test_float64_route_kept_to_beta_170(self):
+        # Gamma(beta+1) is finite in float64 up to beta of about 170.6: the same division as before
+        for beta in (0.5, 170.0, 170.5):
+            spec = CoherentSpec(z=0.7 + 0.2j, idx_m=2, beta=beta)
+            x, y = np.longdouble(0.7), np.longdouble(0.2)
+            rows = _p_rows(2, beta, np.sqrt(x * x + y * y))
+            total, _ = _row_sum((r * r for r in rows), 2, spec.truncation, "reference")
+            assert norm_series(spec) == float(total / np.longdouble(gamma_fn(beta + 1.0)))

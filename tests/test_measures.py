@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,49 @@ class TestGenFactorial:
             for m in range(11):
                 ref = gamma_fn(beta + max(n, m) + 1.0) / (gamma_fn(beta + m + 1.0) * math.factorial(min(n, m)))
                 assert gen_factorial(meas, n, m) == pytest.approx(ref, rel=1e-13)
+
+    def test_past_gamma_overflow_against_mpmath(self):
+        # where Gamma(beta + max(n, m) + 1) overflows float64 the value is the long-double product
+        # (beta+m+1)_{max(n,m)-m} / min(n,m)!: three float64 lgamma values were 3.3e-13 off
+        # (beta = 150.3, n = 132, m = 2)
+        def gamma_overflows(x):
+            try:
+                gamma_fn(x)
+            except OverflowError:
+                return True
+            return False
+
+        checked = 0
+        with mp.workdps(40):
+            for beta in (0.0, 0.5, 1.7, 30.3, 100.0, 150.3, 165.2, 170.0):
+                meas = GammaMeasure(beta)
+                for m in range(9):
+                    poch = mp.mpf(1)  # (beta+m+1)_{n-m}, multiplied up along n
+                    for n in range(400):
+                        if n > m:
+                            poch *= mp.mpf(beta) + n
+                        if not gamma_overflows(beta + max(n, m) + 1.0):
+                            continue
+                        ref = poch / mp.factorial(min(n, m))
+                        if ref > np.finfo(float).max:
+                            with pytest.raises(OverflowError):
+                                gen_factorial(meas, n, m)
+                            continue
+                        assert abs(gen_factorial(meas, n, m) - ref) <= 1e-15 * ref, (beta, n, m)
+                        checked += 1
+        assert checked > 4000
+
+    def test_past_the_long_double_product(self):
+        # min(n, m)! past float64, or a product past long double: lgamma differences, and no
+        # product of max(n, m) - m factors (n = 10**9 would have asked for 16 GB)
+        meas = GammaMeasure(0.5)
+        with mp.workdps(40):
+            for n, m in ((1800, 1800), (1800, 2000), (3250, 1800), (3260, 1800)):
+                b = mp.mpf(0.5)
+                ref = mp.gamma(b + max(n, m) + 1) / (mp.factorial(min(n, m)) * mp.gamma(b + m + 1))
+                assert gen_factorial(meas, n, m) == pytest.approx(float(ref), rel=1e-9, abs=0.0)
+        with pytest.raises(OverflowError):
+            gen_factorial(meas, 10**9, 0)
 
     def test_single_step_ratio(self):
         meas = GammaMeasure(0.7)

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from cstk.errors import ConvergenceError, PoleError
 from cstk.oracles import assoc_hermite, assoc_hermite_rows, hermite, hyp_pfq, lauricella_triple, mittag_leffler
-from cstk.specfun import SeriesControl, _kummer_series, gamma_fn, laguerre, pochhammer
+from cstk.specfun import SeriesControl, _gamma_ld, _kummer_series, gamma_fn, laguerre, pochhammer
 
 EPS_LD = float(np.finfo(np.longdouble).eps)
 
@@ -41,6 +41,17 @@ class TestGamma:
         with mp.workdps(30):
             for x in np.linspace(0.1, 50.0, 37):
                 assert gamma_fn(float(x)) == pytest.approx(float(mp.gamma(float(x))), rel=1e-13)
+
+    def test_long_double_past_float64(self):
+        # gamma_fn's bits where it is finite, a long-double product past it, inf past the long-double range
+        assert _gamma_ld(170.5) == np.longdouble(gamma_fn(170.5))
+        with mp.workdps(30):
+            for x in (171.0, 172.3, 500.0, 1755.5):
+                value = _gamma_ld(x)
+                assert isinstance(value, np.longdouble)
+                assert abs(mp.mpf(np.format_float_scientific(value, unique=True)) / mp.gamma(x) - 1) < 1e-15
+        for x in (1756.5, 1e10, 1e300):  # at once: no product of x - 170 factors
+            assert _gamma_ld(x) == np.inf
 
 
 class TestPochhammer:
@@ -217,6 +228,33 @@ class TestHypPFQ:
         t = np.array([1.0, 2.0], dtype=np.longdouble)
         assert hyp_pfq([1.0], [1.0], t).dtype == np.clongdouble
         assert hyp_pfq([1.0], [1.0], t.astype(float)).dtype == np.complex128
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_real_argument_sums_as_complex_bitwise(self, dtype):
+        # a real t and real parameters are summed in real long double: bit for bit the sum at t + 0j
+        t = np.linspace(-10.0, 10.0, 41).astype(dtype)
+        for beta in (0.0, 0.5, 2.3):
+            real = hyp_pfq([beta], [beta + 1.0], t)
+            assert real.dtype == np.result_type(t, complex)
+            assert np.array_equal(real, hyp_pfq([beta], [beta + 1.0], t + 0j))
+            for tk in t:  # and so does a scalar call
+                assert hyp_pfq([beta], [beta + 1.0], tk) == hyp_pfq([beta], [beta + 1.0], tk + 0j)
+        # the (k, l) grid of oracles.closed_bracket on the squared radii of the density check
+        m, beta = 4, 0.5
+        b = (np.longdouble(beta) + 1 + np.arange(m + 1))[:, None]
+        u = (np.geomspace(1e-2, 6.0, 48) ** 2).astype(dtype)
+        grid = hyp_pfq([1.0, m + beta + 1.0], [b[:, None], b], u)
+        assert grid.shape == (m + 1, m + 1, 48)
+        assert np.array_equal(grid, hyp_pfq([1.0, m + beta + 1.0], [b[:, None], b], u + 0j))
+
+    def test_batched_kummer_leg_near_scalar_calls(self):
+        # the kummer-normalization check sums e^t 1F1(beta; beta+1; -t) at its 41 t in one call: the
+        # batch sums on past the scalar 1e-13 tail test of the points that meet it first
+        ts = np.linspace(0.0, 10.0, 41)
+        for beta in (0.0, 0.5, 1.0, 2.3):
+            batch = hyp_pfq([beta], [beta + 1.0], -ts).real
+            scalar = np.array([hyp_pfq([beta], [beta + 1.0], -float(t)).real for t in ts])
+            assert np.all(np.abs(batch - scalar) <= 1e-14 * np.abs(scalar))
 
     SCALAR_CASES = [((0.5,), (1.5,), -3.25), ((2.3,), (3.3,), -10.0), ((1.0,), (2.0,), -7.5)]
 

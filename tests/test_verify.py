@@ -1,7 +1,10 @@
 import itertools
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,3 +266,41 @@ class TestLadderComparison:
         # swapped index order: (x_{2,3} + x_{1,3})/2 = (1/2 + 1)/2
         assert r["swapped_index_lambda"] == pytest.approx(0.75)
         assert r["swapped_index_lambda"] != pytest.approx(r["composed_lambda"])
+
+
+class TestCompareReports:
+    """scripts/compare_reports.py: two `verify --out` directories, every field but runtime_seconds."""
+
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+
+    def run(self, *dirs):
+        proc = subprocess.run([sys.executable, str(self.SCRIPT), *map(str, dirs)], capture_output=True, text=True)
+        return proc.returncode, proc.stdout
+
+    def test_equal_changed_and_ignored_fields(self, tmp_path):
+        report = verify.check_assoc_hermite(nmax=3).to_dict()
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        for d in (dir_a, dir_b):
+            d.mkdir()
+            (d / "assoc-hermite.json").write_text(json.dumps(report))
+        assert self.run(dir_a, dir_b) == (0, "reports equal\n")
+        # runtime_seconds is ignored
+        (dir_b / "assoc-hermite.json").write_text(json.dumps({**report, "runtime_seconds": 99.0}))
+        assert self.run(dir_a, dir_b)[0] == 0
+        # a changed nested field fails and is named with both values
+        changed = {**report, "details": {**report["details"], "beta0_max_rel": 0.5}}
+        (dir_b / "assoc-hermite.json").write_text(json.dumps(changed))
+        code, out = self.run(dir_a, dir_b)
+        assert code == 1
+        assert out == f"assoc-hermite.json: details.beta0_max_rel: {report['details']['beta0_max_rel']!r} != 0.5\n"
+        # a report in one directory only differs too
+        (dir_b / "assoc-hermite.json").write_text(json.dumps(report))
+        (dir_a / "overlap.json").write_text(json.dumps(report))
+        assert self.run(dir_a, dir_b) == (1, f"overlap.json: missing in {dir_b}\n")
+        (dir_a / "overlap.json").unlink()
+        # a field that becomes an empty dict or list is compared by its JSON text too
+        for empty in ({}, []):
+            (dir_b / "assoc-hermite.json").write_text(json.dumps({**report, "details": empty}))
+            code, out = self.run(dir_a, dir_b)
+            assert code == 1 and f'assoc-hermite.json: details: "<missing>" != {json.dumps(empty)}\n' in out
+        assert self.run(dir_a)[0] == 2

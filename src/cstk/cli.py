@@ -23,7 +23,7 @@ from pathlib import Path
 from . import coherent, measures, oracles, poly2d, quadrature, transforms, verify
 from .errors import NumericError
 from .formats import format_complex, format_real, parse_complex, read_data
-from .specfun import SeriesControl
+from .specfun import DEFAULT_CONTROL, SeriesControl
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -35,8 +35,8 @@ ENV_CONFIG = "CSTK_CONFIG"
 
 @dataclass(frozen=True)
 class CliConfig:
-    rel_tol: float = 1e-13
-    max_terms: int = 500
+    rel_tol: float = DEFAULT_CONTROL.rel_tol
+    max_terms: int = DEFAULT_CONTROL.max_terms
     seed: int = verify.DEFAULT_SEED
     output_format: str = "json"
 

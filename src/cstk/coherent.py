@@ -22,8 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly2d import _EPS_LD, _p_rows, _row_sum
-from .specfun import DEFAULT_CONTROL, SeriesControl, _exit_check, _gamma_ld, _kummer_series, _require_beta, _require_finite
+from .poly2d import _p_rows, _row_sum
+from .specfun import (
+    _CLD, _EPS_LD, _LD, DEFAULT_CONTROL, SeriesControl, _exit_check, _gamma_ld, _kummer_series, _require_beta,
+    _require_finite,
+)
 
 __all__ = [
     "CoherentSpec",
@@ -73,16 +76,16 @@ def norm_closed_m0(beta: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) 
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the exit check raises there
-def _m0_series(t, beta: float, ctl: SeriesControl, scale: float | np.longdouble = 1.0) -> complex:
+def _m0_series(t, beta: float, ctl: SeriesControl, scale: float | _LD = 1.0) -> complex:
     """S(t) / scale, S(t) = M(1; beta+1; t), by specfun._kummer_series in long double, as Kummer's
     e^t M(beta; beta+1; -t) (DLMF 13.2.39) where Re t < 0; the exit check raises where eps_ld sum |term|
     is not below _M0_TARGET of the sum or the value leaves the normal float64 range."""
-    t, b = np.clongdouble(t), np.longdouble(beta)
+    t, b = _CLD(t), _LD(beta)
     kummer = t.real < 0
     pair, y, ln_factor = ((b, b + 1), -t, t) if kummer else ((1, b + 1), t, 0)  # e^t 2^e in one exponential
     sums, absums, (e,) = _kummer_series((pair,), np.array([y]), ctl.max_terms)
     total, absum = sums[0, 0], absums[0, 0]
-    value = total * np.exp(ln_factor + e * np.log(np.longdouble(2))) / np.longdouble(scale)
+    value = total * np.exp(ln_factor + e * np.log(_LD(2))) / _LD(scale)
     value = value if abs(value) >= _TINY else np.nan  # below the normal range digits are lost
     return complex(_exit_check(
         "the m=0 series", value, lambda i: f"beta={beta}, t={complex(t)}", _EPS_LD * absum, _M0_TARGET, abs(total)
@@ -97,13 +100,13 @@ def _norm(z, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTROL):
     taken in long double past beta = 170.
 
     ``z`` may be a scalar or an array; returns real values of its shape.
-    The exit check raises NumericError where N overflows float64 (|z| of about 27 and up),
-    or falls below its normal range (as it does near the origin from beta of about 171).
+    The exit check raises NumericError where N overflows float64 (|z| of about 27 and up), or falls below
+    its normal range (near the origin from beta of about 171, and, no row summed, past Gamma(beta+1)'s range).
     """
-    z = np.asarray(z)
-    x, y = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
-    total, _ = _row_sum((r * r for r in _p_rows(m, beta, np.sqrt(x * x + y * y))), m, ctl, "the squared norm")
-    value = total / _gamma_ld(beta + 1.0)
+    z, gamma = np.asarray(z), _gamma_ld(beta + 1.0)
+    x, y = z.real.astype(_LD), z.imag.astype(_LD)
+    rows = (r * r for r in _p_rows(m, beta, np.sqrt(x * x + y * y)))
+    value = _row_sum(rows, m, ctl, "the squared norm")[0] / gamma if gamma < np.inf else np.nan  # inf / inf warns
     value = np.where(value >= _TINY, value, np.nan)  # N > 0: below the normal range digits are lost
     return _exit_check("the squared norm", value, lambda i: f"m={m}, beta={beta}")
 
@@ -122,7 +125,7 @@ def overlap_closed(z: complex, w: complex, m: int, beta: float, ctl: SeriesContr
     _require_beta(beta)
     _require_finite("z", z)
     _require_finite("w", w)
-    rows = _p_rows(m, beta, np.array([z, w], dtype=np.clongdouble))  # one generator for both states
+    rows = _p_rows(m, beta, np.array([z, w], dtype=_CLD))  # one generator for both states
     (cross, nz, nw), _ = _row_sum((r[:, [0, 0, 1]] * np.conj(r[:, [1, 0, 1]]) for r in rows), m, ctl, "coherent bracket")
     with np.errstate(over="ignore", invalid="ignore"):  # the exit check raises there
         value = cross / (np.sqrt(nz.real) * np.sqrt(nw.real))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import IllConditionedError, NumericError
 from .formats import read_data
-from .specfun import gamma_fn, laguerre, pochhammer
+from .specfun import _LD, gamma_fn, laguerre, pochhammer
 
 __all__ = [
     "MomentMeasure",
@@ -199,27 +199,25 @@ def x_gen(measure: MomentMeasure, n: int, m: int) -> float:
 def gen_factorial(measure: MomentMeasure, n: int, m: int) -> float:
     """Generalized factorial x_{n,m}^beta! = zeta_{n^m}(|n-m|+beta) / zeta_0(m+beta).
 
-    For the builtin measure Gamma(beta+max(n,m)+1) / (min(n,m)! Gamma(beta+m+1)); where Gamma
-    overflows float64 it is formed as the long-double product (beta+m+1)_{max(n,m)-m} / min(n,m)!,
-    which rounds about once, and from math.lgamma differences where min(n,m)! or that product would
-    leave its range.  OverflowError where the value leaves float64.
+    For the builtin measure Gamma(beta+max(n,m)+1) / (min(n,m)! Gamma(beta+m+1)), as the long-double product
+    (beta+m+1)_{max(n,m)-m} / min(n,m)!, which rounds about once, and from math.lgamma differences where
+    min(n,m)! or that product would leave its range.  OverflowError where the value leaves float64.
     """
     if n < 0 or m < 0:
         raise ValueError("indices must be non-negative")
     if n == 0:
         return 1.0
     beta = measure.beta
-    try:
+    if not measure.is_builtin:
         return zeta(measure, min(n, m), abs(n - m) + beta) / zeta(measure, 0, m + beta)
-    except OverflowError:  # only the builtin zeta, Gamma(alpha+n+1) / n!, overflows
-        log_poch = math.lgamma(beta + max(n, m) + 1.0) - math.lgamma(beta + m + 1.0)
-        if min(n, m) > 170 or log_poch > 11000.0:  # no product of more than about 1 500 factors
-            return math.exp(log_poch - math.lgamma(min(n, m) + 1.0))
-        poch = np.prod(np.longdouble(beta) + np.arange(m + 1, max(n, m) + 1, dtype=np.longdouble))
-        value = float(poch / math.factorial(min(n, m)))
-        if math.isinf(value):
-            raise OverflowError(f"x_{{{n},{m}}}! leaves the float64 range at beta={beta}") from None
-        return value
+    log_poch = math.lgamma(beta + max(n, m) + 1.0) - math.lgamma(beta + m + 1.0)
+    if min(n, m) > 170 or log_poch > 11000.0:  # no product of more than about 1 500 factors
+        return math.exp(log_poch - math.lgamma(min(n, m) + 1.0))
+    poch = np.prod(_LD(beta) + np.arange(m + 1, max(n, m) + 1, dtype=_LD))
+    value = float(poch / math.factorial(min(n, m)))
+    if math.isinf(value):
+        raise OverflowError(f"x_{{{n},{m}}}! leaves the float64 range at beta={beta}")
+    return value
 
 
 def hamiltonian_eigen(measure: MomentMeasure, n: int) -> float:

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import ConvergenceError, PoleError
 from .specfun import (
+    _CLD,
+    _LD,
     DEFAULT_CONTROL,
     SeriesControl,
     _is_nonpositive_integer,
@@ -62,14 +64,14 @@ def hyp_pfq(numer, denom, t, ctl: SeriesControl = DEFAULT_CONTROL):
         if np.any(poles):
             raise PoleError(f"hyp_pfq denominator parameter {b[poles].flat[0]} is a non-positive integer")
     # each parameter is cast once: a float64 (a + k) or 1/(k + 1) would round every term ratio
-    numer = [np.asarray(a, dtype=np.clongdouble if np.iscomplexobj(a) else np.longdouble) for a in numer]
-    denom = [np.asarray(b, dtype=np.clongdouble if np.iscomplexobj(b) else np.longdouble) for b in denom]
+    numer = [np.asarray(a, dtype=_CLD if np.iscomplexobj(a) else _LD) for a in numer]
+    denom = [np.asarray(b, dtype=_CLD if np.iscomplexobj(b) else _LD) for b in denom]
     # extended-precision accumulation: alternating arguments (Kummer-type
     # identities at t ~ -10) cancel through partial sums ~e^{|t|} above the
     # limit, which 64-bit terms cannot certify at 1e-11
     t_in = np.asarray(t)
     real = not any(np.iscomplexobj(v) for v in (t_in, *numer, *denom))
-    tq = np.asarray(t_in, dtype=np.longdouble if real else np.clongdouble)
+    tq = np.asarray(t_in, dtype=_LD if real else _CLD)
     total = np.zeros_like(tq)
     term = np.ones_like(tq)
     prev_mag = math.inf
@@ -81,7 +83,7 @@ def hyp_pfq(numer, denom, t, ctl: SeriesControl = DEFAULT_CONTROL):
         if k >= 2 and np.all((term_mag <= bound) & (prev_mag <= bound)):
             break
         prev_mag = term_mag
-        ratio = 1 / np.longdouble(k + 1)
+        ratio = 1 / _LD(k + 1)
         for a in numer:
             ratio = ratio * (a + k)
         for b in denom:
@@ -305,16 +307,15 @@ def closed_bracket(z, w, m: int, beta: float, ctl: SeriesControl = DEFAULT_CONTR
     front = pochhammer(beta + 1.0, m) / (math.factorial(m) * gamma_fn(beta + 1.0))
     # the (k, l) terms cancel down to ~1e-9 of their magnitude at m = 8, |z| = 3,
     # so they are formed and summed in long double, 2F2 values included
-    ld = np.longdouble
-    coeff = np.ones(m + 1, dtype=ld)  # (-m)_k / (k! (beta+1)_k)
+    coeff = np.ones(m + 1, dtype=_LD)  # (-m)_k / (k! (beta+1)_k)
     for j in range(1, m + 1):
-        coeff[j] = coeff[j - 1] * ld(j - 1 - m) / (j * (ld(beta) + j))
+        coeff[j] = coeff[j - 1] * _LD(j - 1 - m) / (j * (_LD(beta) + j))
     k = np.arange(m + 1)
     lead = (slice(None),) + (None,) * z.ndim  # grid index k on a new leading axis
-    zk = coeff[lead] * zz.astype(ld) ** k[lead]
-    wl = coeff[lead] * ww.astype(ld) ** k[lead]
-    b = (ld(beta) + 1 + k)[lead]
-    arg = zw.astype(np.clongdouble) if zw.imag.any() else zw.real.astype(ld)  # real on the diagonal: a real sum
+    zk = coeff[lead] * zz.astype(_LD) ** k[lead]
+    wl = coeff[lead] * ww.astype(_LD) ** k[lead]
+    b = (_LD(beta) + 1 + k)[lead]
+    arg = zw.astype(_CLD) if zw.imag.any() else zw.real.astype(_LD)  # real on the diagonal: a real sum
     grid = hyp_pfq([1.0, m + beta + 1.0], [b[:, None], b], arg, ctl)
     second = np.sum(zk[:, None] * wl[None, :] * grid, axis=(0, 1))
     return total + front * second.astype(complex)

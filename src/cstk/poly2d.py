@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .measures import GammaMeasure, MomentMeasure, gen_factorial, ortho_poly_phi, zeta
-from .specfun import SeriesControl, _exit_check, _laguerre_rows, _require_beta, gamma_fn
+from .specfun import _CLD, _EPS_LD, _LD, _LD_DIGITS, SeriesControl, _exit_check, _laguerre_rows, _require_beta, gamma_fn
 
 __all__ = [
     "ModeIndex",
@@ -29,9 +29,6 @@ __all__ = [
     "p_norm",
     "landau_apply",
 ]
-
-_EPS_LD = float(np.finfo(np.longdouble).eps)
-_LD_DIGITS = np.finfo(np.longdouble).nmant + 1
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ class PolyExpansion:
         """Value at ``z``: a complex for a scalar, a complex ndarray for an array."""
         # extended-precision accumulation: the monomials overshoot the value
         # by the Laguerre cancellation factor at the larger |z|
-        z = np.asarray(z, dtype=np.clongdouble)
+        z = np.asarray(z, dtype=_CLD)
         zc = np.conjugate(z)
         total = np.zeros_like(z)
         for (a, b), c in self.terms:
@@ -102,8 +99,8 @@ def _h_rows(d: int, beta: float, z):
     z = np.asarray(z, dtype=complex)
     # long double: the float64 Laguerre recurrence is off by up to 1.4e-13 of
     # max(1, |L|); u = |z|^2 and alpha = |n-m| + beta are formed in it too
-    x, y = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
-    alpha = np.longdouble(d) + np.longdouble(beta)
+    x, y = z.real.astype(_LD), z.imag.astype(_LD)
+    alpha = _LD(d) + _LD(beta)
     powers = {}  # side: (z^{n-s}, zbar^{m-s}), made at its first call
     for s, lag in enumerate(_laguerre_rows(alpha, (x * x + y * y)[()])):
 
@@ -142,17 +139,17 @@ def h_poly_expand(idx: ModeIndex) -> PolyExpansion:
     return PolyExpansion(n=n, m=m, beta=beta, terms=tuple(terms))
 
 
-def _round_ld(q: Fraction) -> np.longdouble:
+def _round_ld(q: Fraction) -> _LD:
     """The rational q rounded once (to nearest, ties to even) to long double."""
     if not q:
-        return np.longdouble(0)
+        return _LD(0)
     # |q| 2^shift lies in (2^(d-1), 2^(d+1)) for d mantissa digits; at d+1 digits shift one less
     shift = _LD_DIGITS - q.numerator.bit_length() + q.denominator.bit_length()
     mant = round(q * Fraction(2) ** shift)
     if abs(mant) >= 2**_LD_DIGITS:
         shift -= 1
         mant = round(q * Fraction(2) ** shift)
-    return np.ldexp(np.longdouble(mant), -shift)
+    return np.ldexp(_LD(mant), -shift)
 
 
 def p_norm(idx: ModeIndex, z, measure: MomentMeasure | None = None):
@@ -356,7 +353,7 @@ def landau_apply(beta: float, expansion: PolyExpansion, z):
         if b == 0:
             continue
         terms.append(((a, b), c * b))
-        factor = b * (a + np.longdouble(beta))
+        factor = b * (a + _LD(beta))
         if factor != 0.0:
             if a == 0 and np.any(np.asarray(z) == 0):
                 raise ZeroDivisionError("landau_apply at z=0 with a surviving 1/z term")

@@ -63,6 +63,12 @@ def _require_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite")
 
 
+# The working precision of every series and row sum: numpy's long double, 80-bit on x86-64, so cancelling terms
+# round below float64.  Where it is float64 (Windows, macOS arm64) see README, "Platforms"; every module takes it here.
+_LD, _CLD = np.longdouble, np.clongdouble
+_EPS_LD, _LD_DIGITS = float(np.finfo(_LD).eps), np.finfo(_LD).nmant + 1
+
+
 def _exit_check(what: str, value, at, est=None, target: float = math.inf, size=1.0):
     """The one exit of an evaluator: ``value`` rounded to float64 (complex128 if complex), shape kept, 0-d as a
     numpy scalar.  NumericError where an element is not finite, or its error estimate ``est`` is not below
@@ -99,19 +105,19 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def _gamma_ld(x: float) -> np.longdouble:
+def _gamma_ld(x: float) -> _LD:
     """Gamma(x), x > 0, in long double: gamma_fn's float64 value where that is finite (its bits), past
     it gamma_fn(x - k), x - k <= 170, times the long-double product (x-k)(x-k+1)...(x-1), which adds
     k roundings of eps_ld to gamma_fn's error.  inf past x of about 1755.5, with no warning: the callers'
     exit checks raise there."""
     try:
-        return np.longdouble(gamma_fn(x))
+        return _LD(gamma_fn(x))
     except OverflowError:
         if x > 1756.0:  # past the long-double range: inf without a product of x - 170 factors
-            return np.longdouble(np.inf)
+            return _LD(np.inf)
         k = math.ceil(x - 170.0)
         with np.errstate(over="ignore"):
-            return np.longdouble(gamma_fn(x - k)) * np.prod(np.longdouble(x - k) + np.arange(k, dtype=np.longdouble))
+            return _LD(gamma_fn(x - k)) * np.prod(_LD(x - k) + np.arange(k, dtype=_LD))
 
 
 def rgamma(x: float) -> float:

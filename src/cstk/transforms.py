@@ -36,7 +36,8 @@ from .formats import parse_complex, read_data
 from .poly2d import _block_len, _p_rows, _row_sum
 from .quadrature import QuadratureRule
 from .specfun import (
-    DEFAULT_CONTROL, SeriesControl, _exit_check, _kummer_series, _require_beta, _require_finite, gamma_fn, rgamma
+    _CLD, _LD, DEFAULT_CONTROL, SeriesControl, _exit_check, _kummer_series, _require_beta, _require_finite, gamma_fn,
+    rgamma,
 )
 
 __all__ = [
@@ -131,8 +132,8 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     and of the cubic terms, which can exceed the values many times over
     between noisy samples, below that of the float64 result.  ``y`` may be
     complex."""
-    x = np.asarray(x, dtype=np.longdouble)
-    y = np.asarray(y, dtype=np.clongdouble if np.iscomplexobj(y) else np.longdouble)
+    x = np.asarray(x, dtype=_LD)
+    y = np.asarray(y, dtype=_CLD if np.iscomplexobj(y) else _LD)
     dx = np.diff(x)
     slope = np.diff(y) / dx
     n = len(x)
@@ -215,7 +216,7 @@ def omega_weight(x, beta: float):
         out = np.exp(-x * x) / math.sqrt(math.pi)  # the series terminate: exact
     else:
         xs, where = np.unique(x.ravel(), return_inverse=True)  # a symmetric grid needs half the sums
-        out = _omega_kummer(xs.astype(np.longdouble), beta)[where].reshape(x.shape)
+        out = _omega_kummer(xs.astype(_LD), beta)[where].reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -335,9 +336,9 @@ def kernel_B(
     _require_beta(beta)
     _require_finite("z", z)
     _require_finite("x", x)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=np.longdouble))
+    x_arr = np.atleast_1d(np.asarray(x, dtype=_LD))
     block = _block_len(x_arr.size)
-    rows = _p_rows(m, beta, np.clongdouble(complex(z).conjugate()), block)
+    rows = _p_rows(m, beta, _CLD(complex(z).conjugate()), block)
     terms = (row[:, np.newaxis] * phi for row, phi in zip(rows, _phi_rows(beta, x_arr, block)))
     total, est = _row_sum(terms, m, ctl, "kernel_B series")
     err = (est / np.maximum(np.abs(total), 1e-300)).astype(float) + np.finfo(float).eps

@@ -13,6 +13,7 @@ import cstk
 from cstk import cli, oracles, verify
 from cstk.formats import format_complex, parse_complex, read_data
 from cstk.poly2d import ModeIndex, p_norm
+from cstk.specfun import DEFAULT_CONTROL
 
 
 def run(capsys, *argv):
@@ -334,6 +335,10 @@ class TestVerifyCommand:
 
 
 class TestConfig:
+    def test_default_series_policy(self):
+        # the CLI restated 1e-13 and 500: specfun's DEFAULT_CONTROL is the one default
+        assert cli.CliConfig().series() == DEFAULT_CONTROL
+
     def test_usage_error(self, capsys):
         code = cli.main(["eval", "poly", "--z", "zzz"])
         assert code == 2

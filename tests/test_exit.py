@@ -86,6 +86,11 @@ PAST_FLOAT64 = {
         lambda: norm_series(CoherentSpec(z=1 + 0j, idx_m=2, beta=1e10)),
         "the squared norm leaves the float64 range",
     ),
+    # the rows leave long double as well: inf / inf warned, an error under -W error (exit 1)
+    "norm_series_past_long_double_gamma_and_rows": (
+        lambda: norm_series(CoherentSpec(z=160 + 0j, idx_m=2, beta=2000.0, truncation=PAST_LD)),
+        "the squared norm leaves the float64 range",
+    ),
 }
 
 

@@ -67,17 +67,10 @@ class TestGenFactorial:
                 ref = gamma_fn(beta + max(n, m) + 1.0) / (gamma_fn(beta + m + 1.0) * math.factorial(min(n, m)))
                 assert gen_factorial(meas, n, m) == pytest.approx(ref, rel=1e-13)
 
-    def test_past_gamma_overflow_against_mpmath(self):
-        # where Gamma(beta + max(n, m) + 1) overflows float64 the value is the long-double product
-        # (beta+m+1)_{max(n,m)-m} / min(n,m)!: three float64 lgamma values were 3.3e-13 off
-        # (beta = 150.3, n = 132, m = 2)
-        def gamma_overflows(x):
-            try:
-                gamma_fn(x)
-            except OverflowError:
-                return True
-            return False
-
+    def test_sweep_against_mpmath(self):
+        # the builtin value is the long-double product (beta+m+1)_{max(n,m)-m} / min(n,m)!, correctly
+        # rounded but for about one long-double rounding: the float64 zeta ratio was 6.8e-14 off (beta = 30.3,
+        # n = 140, m = 8), and three float64 lgamma values 3.3e-13 (beta = 150.3, n = 132, m = 2)
         checked = 0
         with mp.workdps(40):
             for beta in (0.0, 0.5, 1.7, 30.3, 100.0, 150.3, 165.2, 170.0):
@@ -87,16 +80,14 @@ class TestGenFactorial:
                     for n in range(400):
                         if n > m:
                             poch *= mp.mpf(beta) + n
-                        if not gamma_overflows(beta + max(n, m) + 1.0):
-                            continue
                         ref = poch / mp.factorial(min(n, m))
                         if ref > np.finfo(float).max:
                             with pytest.raises(OverflowError):
                                 gen_factorial(meas, n, m)
                             continue
-                        assert abs(gen_factorial(meas, n, m) - ref) <= 1e-15 * ref, (beta, n, m)
+                        assert abs(gen_factorial(meas, n, m) - ref) <= 2.5e-16 * ref, (beta, n, m)
                         checked += 1
-        assert checked > 4000
+        assert checked > 11000
 
     def test_past_the_long_double_product(self):
         # min(n, m)! past float64, or a product past long double: lgamma differences, and no

@@ -1,0 +1,61 @@
+"""cstk where numpy's long double is float64 (Windows, macOS arm64), as scripts/float64_platform.py
+runs it, and the one module that names the working precision."""
+
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cstk"
+
+# The m = 0, 4 and 8 distant pairs (|z| = 3 and 4.5): 5.2e-10 to 2.8e-9 relative, or 1.2e-17 and 2.2e-17
+# absolute against 1e-18.  float64 rows cannot resolve an overlap this far below the norms, and it
+# returns with no estimate to raise on (ROADMAP items 1 and 16).
+OVERLAP_DISTANT_MISSES = [2, 3, 7, 11, 19]
+
+
+@pytest.fixture(scope="module")
+def platform():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "float64_platform.py")], capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr  # a RuntimeWarning is an error there
+    return json.loads(run.stdout)
+
+
+def test_runs_in_float64(platform):
+    assert platform["eps"] == np.finfo(np.float64).eps
+
+
+def test_checks_pass(platform):
+    assert platform["checks"]["passed"], platform["checks"]
+
+
+def test_every_point_accounted_for(platform):
+    data = ROOT / "tests" / "data"
+    counts = {name: len(rows) for name, rows in json.loads((data / "coherent_reference.json").read_text()).items()}
+    counts["kernel_B"] = len(json.loads((data / "kernel_B_sweep.json").read_text())["values"])
+    assert {name: f["met"] + f["raised"] + f["missed"] for name, f in platform["families"].items()} == counts
+
+
+def test_returned_values_meet_their_targets_but_the_pinned_overlaps(platform):
+    # fails if another point misses, or if a pinned point starts to meet its target
+    missed = {name: f["missed_at"] for name, f in platform["families"].items() if f["missed_at"]}
+    assert missed == {"overlap_distant": OVERLAP_DISTANT_MISSES}
+
+
+def test_only_specfun_names_long_double():
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "specfun.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [node.attr] if isinstance(node, ast.Attribute) else []
+            names += [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+            named += [(path.name, node.lineno) for name in names if name in ("longdouble", "clongdouble")]
+    assert named == []

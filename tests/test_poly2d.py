@@ -13,7 +13,6 @@ from cstk.errors import ConvergenceError
 from cstk.measures import CallableMeasure, GammaMeasure, gen_factorial, x_gen
 from cstk.oracles import ito_hermite
 from cstk.poly2d import (
-    _EPS_LD,
     ModeIndex,
     _block_len,
     _h_rows,
@@ -27,7 +26,7 @@ from cstk.poly2d import (
     p_norm,
 )
 from cstk.quadrature import polar_rule
-from cstk.specfun import SeriesControl, gamma_fn, laguerre
+from cstk.specfun import _EPS_LD, SeriesControl, gamma_fn, laguerre
 
 modes = st.tuples(st.integers(0, 8), st.integers(0, 8), st.floats(0.0, 2.5, allow_nan=False))
 points = st.complex_numbers(min_magnitude=0.0, max_magnitude=3.0, allow_nan=False, allow_infinity=False)

@@ -10,6 +10,8 @@ those platforms.  A RuntimeWarning is an error.  The script runs
 - the kernel_B sweep of tests/data/kernel_B_sweep.json at kernel_B's 1e-10 gate,
 - every set of tests/data/coherent_reference.json, each at the target its
   test in tests/test_coherent.py holds it to,
+- gen_factorial at beta = 0 for n <= 400, m <= min(n, 200) against the exact
+  n! / (m!)^2 at 1e-12,
 
 and prints, as JSON, whether every check passed with its worst error over
 tolerance, and per family the number of points that met their target or raised
@@ -22,6 +24,7 @@ counts.
 """
 
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -37,10 +40,12 @@ DATA = ROOT / "tests" / "data"
 from cstk import verify  # noqa: E402
 from cstk.coherent import CoherentSpec, eta_density, kernel_K, norm_series, overlap_closed  # noqa: E402
 from cstk.errors import NumericError  # noqa: E402
+from cstk.measures import GammaMeasure, gen_factorial  # noqa: E402
 from cstk.specfun import _EPS_LD, SeriesControl  # noqa: E402
 from cstk.transforms import kernel_B  # noqa: E402
 
 SEEDS = (12345, 777, 2024)
+FACTORIAL_N, FACTORIAL_M, FACTORIAL_TARGET = 400, 200, 1e-12
 KERNEL_B_TARGET = 1e-10
 WIDER = SeriesControl(max_terms=20000)  # the budget of tests/test_coherent.py's past-Gamma-overflow tests
 
@@ -137,12 +142,37 @@ def coherent_sets() -> dict:
     return out
 
 
+def gen_factorials() -> dict:
+    """gen_factorial at beta = 0, n <= FACTORIAL_N, m <= min(n, FACTORIAL_M), against n! / (m!)^2 rounded once
+    to float64 (exact integers): met within FACTORIAL_TARGET relative (or the smallest subnormal, below the normal
+    range), raised OverflowError where that value is past float64, else missed (indices in that order)."""
+    fact, measure = [math.factorial(k) for k in range(FACTORIAL_N + 1)], GammaMeasure(0.0)
+    met, raised, missed = 0, 0, []
+    pairs = ((n, m) for n in range(FACTORIAL_N + 1) for m in range(min(n, FACTORIAL_M) + 1))
+    for i, (n, m) in enumerate(pairs):
+        try:
+            ref = fact[n] / (fact[m] * fact[m])  # correctly rounded
+        except OverflowError:
+            ref = math.inf
+        try:
+            val = gen_factorial(measure, n, m)
+        except OverflowError:
+            val = math.inf
+        if val == ref == math.inf:
+            raised += 1
+        elif abs(val - ref) <= FACTORIAL_TARGET * ref + math.ulp(0.0):
+            met += 1
+        else:
+            missed.append(i)
+    return {"met": met, "raised": raised, "missed": len(missed), "missed_at": missed}
+
+
 def main() -> int:
     warnings.simplefilter("error", RuntimeWarning)
     result = {
         "eps": _EPS_LD,
         "checks": checks(),
-        "families": {"kernel_B": kernel_b_sweep(), **coherent_sets()},
+        "families": {"kernel_B": kernel_b_sweep(), **coherent_sets(), "gen_factorial": gen_factorials()},
     }
     print(json.dumps(result, indent=2))
     return 0

@@ -196,6 +196,10 @@ def x_gen(measure: MomentMeasure, n: int, m: int) -> float:
     return num / den
 
 
+# no product of more than about 1 500 factors, nor one past the long-double range (where that is float64)
+_LOG_POCH_MAX = min(11000.0, math.log(np.finfo(_LD).max))
+
+
 def gen_factorial(measure: MomentMeasure, n: int, m: int) -> float:
     """Generalized factorial x_{n,m}^beta! = zeta_{n^m}(|n-m|+beta) / zeta_0(m+beta).
 
@@ -211,7 +215,7 @@ def gen_factorial(measure: MomentMeasure, n: int, m: int) -> float:
     if not measure.is_builtin:
         return zeta(measure, min(n, m), abs(n - m) + beta) / zeta(measure, 0, m + beta)
     log_poch = math.lgamma(beta + max(n, m) + 1.0) - math.lgamma(beta + m + 1.0)
-    if min(n, m) > 170 or log_poch > 11000.0:  # no product of more than about 1 500 factors
+    if min(n, m) > 170 or log_poch > _LOG_POCH_MAX:
         return math.exp(log_poch - math.lgamma(min(n, m) + 1.0))
     poch = np.prod(_LD(beta) + np.arange(m + 1, max(n, m) + 1, dtype=_LD))
     value = float(poch / math.factorial(min(n, m)))

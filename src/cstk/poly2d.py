@@ -229,7 +229,11 @@ def _p_rows(m: int, beta: float, w, block: int | None = None):
     del head  # freed before the tail's factors are made
     # the factors of row m, made once the head is taken: a short sum may not need them
     mono = (-1) ** m * np.sqrt(real(math.factorial(m)) / poch_m) * np.ones_like(w)
-    lag = np.array(list(itertools.islice(_laguerre_rows(beta, u), m + 1))).reshape((m + 1,) + w.shape)  # L_k^(beta)
+    lag = np.empty((m + 1,) + np.shape(u), u.dtype)  # L_k^(beta), filled in place: no list of rows to stack
+    for k, row in zip(range(m + 1), _laguerre_rows(beta, u)):
+        lag[k] = row
+    del row  # copied to lag[m]: not held twice
+    lag = lag.reshape((m + 1,) + w.shape)
     if size == 1:  # endless
         for n in itertools.count(m):
             yield (mono * lag[m])[np.newaxis]

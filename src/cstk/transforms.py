@@ -31,13 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericError
+from .errors import ConvergenceError
 from .formats import parse_complex, read_data
 from .poly2d import _block_len, _p_rows, _row_sum
 from .quadrature import QuadratureRule
 from .specfun import (
-    _CLD, _LD, DEFAULT_CONTROL, SeriesControl, _exit_check, _kummer_series, _require_beta, _require_finite, gamma_fn,
-    rgamma,
+    _CLD, _LD, DEFAULT_CONTROL, SeriesControl, _exit_check, _gamma_ld, _kummer_series, _require_beta, _require_finite,
+    gamma_fn, rgamma,
 )
 
 __all__ = [
@@ -358,8 +358,9 @@ def apply_transform(
     targets,
     rule: QuadratureRule | None = None,
     ctl: SeriesControl = DEFAULT_CONTROL,
-) -> list[complex]:
-    """Generalized Bargmann transform of f at the given complex targets.
+) -> np.ndarray:
+    """Generalized Bargmann transform of f at the given complex targets: a complex128
+    array, one value per target in np.ravel(targets) order.
 
     The image of phi_n is P~_{n,m}(z, zbar), so a coefficient input
     f = sum_n a_n phi_n maps to the finite sum sum_n a_n P~_{n,m}(z): exactly
@@ -377,14 +378,18 @@ def apply_transform(
     max|f|: scale-free).  This is Cauchy-Schwarz, |d_n| <= ||rest_{n-1}|| ||phi_n||,
     where the rule keeps phi_n orthogonal to the phi_k already projected; the
     min never takes more rows than the f-free bound ||f|| ||phi_n||.  Leaves through specfun._exit_check.
+
+    The sum is divided by sqrt(Gamma(beta+1)), past beta = 170, where that overflows float64, in long double
+    (specfun._gamma_ld) and rounded once; there NumericError where a nonzero value falls below the normal
+    float64 range, as every one does where Gamma(beta+1) leaves long double too.
     """
     _require_beta(beta)
     if abs(f.beta - beta) > 1e-12:
         raise ValueError("function beta and transform beta disagree")
     try:
         norm = math.sqrt(gamma_fn(beta + 1.0))
-    except OverflowError:  # the values, of the size of 1/sqrt(Gamma(beta+1)), can underflow unchecked: refused
-        raise NumericError(f"apply_transform leaves the float64 range at beta={beta}: past beta = 170") from None
+    except OverflowError:  # past beta = 170: the division in long double, rounded once to complex128
+        norm = np.sqrt(_gamma_ld(beta + 1.0))  # inf past the long-double range
     zs = np.asarray(targets, dtype=complex).ravel()
     _require_finite("targets", zs)
     out = np.zeros(len(zs), dtype=complex)
@@ -424,6 +429,7 @@ def apply_transform(
             rest_norm = math.sqrt(np.einsum("ij,ij,j->", rest, rest, rule.weights))
         else:
             raise ConvergenceError(f"transform series not converged in {ctl.max_terms} terms")
+    if beta > 170:  # the values, of the size of 1/sqrt(Gamma(beta+1)), may fall below the normal float64 range
+        out[(out != 0) & (np.abs(out) < np.finfo(float).tiny * norm)] = np.nan  # refused by the exit check
     out /= norm
-    out = _exit_check("apply_transform", out, lambda i: f"m={m}, beta={beta}, z={zs[i]}")
-    return out.tolist()  # Python complexes; complex() per element costs as much as the sum
+    return _exit_check("apply_transform", out, lambda i: f"m={m}, beta={beta}, z={zs[i]}")

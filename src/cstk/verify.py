@@ -363,13 +363,13 @@ def check_transform(mmax: int = 3, betas=(0.0, 1.0), nmax: int = 3, seed: int = 
                 co = np.zeros(n + 1)
                 co[n] = 1.0
                 f = transforms.SampledFunction(kind="coeffs", beta=beta, coeffs=co)
-                vals = np.array(transforms.apply_transform(f, m, beta, targets))
+                vals = transforms.apply_transform(f, m, beta, targets)
                 refs = np.array([poly2d.p_norm(poly2d.ModeIndex(n, m, beta), z) for z in targets])
                 alpha = np.vdot(refs, vals) / np.vdot(refs, refs)
                 resid.append(np.max(np.abs(vals - alpha * refs)) / np.max(np.abs(refs)))
                 absolute.append(np.abs(vals - refs))
                 alpha_dev.append(abs(alpha - 1.0))
-                images.append(np.array(transforms.apply_transform(f, m, beta, zpts)))
+                images.append(transforms.apply_transform(f, m, beta, zpts))
             rows = np.array(images)
             gram = (rows * prule.weights) @ np.conjugate(rows.T) / math.pi
             gram_dev.append(np.abs(gram - np.eye(nmax + 1)))

@@ -279,6 +279,42 @@ class TestTransformCommand:
             assert abs(v - z) <= 1e-12
 
 
+    @pytest.mark.parametrize("kind", ["coeffs", "grid"])
+    def test_prints_the_returned_entries(self, capsys, tmp_path, kind):
+        m, beta = 4, 0.5
+        targets = [0j, 0.6 - 0.8j, -1.7 + 1.1j, 3 + 0.5j]
+        fpath, tpath = tmp_path / "f.txt", tmp_path / "targets.txt"
+        if kind == "coeffs":
+            fpath.write_text(f"# kind=coeffs beta={beta}\n1\n0.25-0.5i\n0\n-0.75+0.125i\n")
+        else:
+            xs = [-9.0 + 0.015 * i for i in range(1201)]
+            fpath.write_text(f"# kind=grid beta={beta}\n" + "".join(f"{x!r} {math.exp(-x * x / 2)!r}\n" for x in xs))
+        tpath.write_text("".join(format_complex(z) + "\n" for z in targets))
+        code, out = run(capsys, "transform", "--input", str(fpath), "--m", str(m), "--beta", str(beta),
+                        "--targets", str(tpath))
+        assert code == 0
+        f = cstk.transforms.load_sampled(fpath)
+        rule = None  # built as cmd_transform builds it
+        if kind == "grid":
+            rule = cstk.quadrature.adaptive_line(lambda x: cstk.transforms.omega_weight(x, beta), 1e-11, m + 8)
+        values = cstk.transforms.apply_transform(f, m, beta, targets, rule)
+        assert json.loads(out)["rows"] == [[format_complex(z), format_complex(v)] for z, v in zip(targets, values)]
+
+    def test_past_gamma_overflow(self, capsys, tmp_path):
+        # Gamma(beta+1) overflows float64 past beta = 170: exit 3 before; at beta = 400 the values
+        # are below the normal float64 range
+        fpath, tpath = tmp_path / "f.txt", tmp_path / "targets.txt"
+        tpath.write_text("0.5\n")
+        fpath.write_text("# kind=coeffs beta=171\n1\n1\n1\n")
+        code, out = run(capsys, "transform", "--input", str(fpath), "--m", "2", "--beta", "171", "--targets", str(tpath))
+        assert code == 0
+        with mp.workdps(50):
+            u, b = mp.mpf(0.25), mp.mpf(171)  # sum_{n<=2} P~_{n,2}(0.5), a real value
+            ref = (u - mp.sqrt(u) * mp.laguerre(1, 1 + b, u) + mp.sqrt(2) * mp.laguerre(2, b, u)) / mp.sqrt(mp.gamma(b + 3))
+            assert abs(get_value(out, "0.5+0i") - ref) <= 1e-13 * ref
+        fpath.write_text("# kind=coeffs beta=400\n1\n1\n1\n")
+        assert cli.main(["transform", "--input", str(fpath), "--m", "2", "--beta", "400", "--targets", str(tpath)]) == 3
+
     def test_unchecked_file_values_exit_2(self, capsys, tmp_path):
         # a nan beta printed a value with exit 0: abs(nan - 0.5) > 1e-12 is False
         fpath, tpath = tmp_path / "f.txt", tmp_path / "targets.txt"

@@ -68,20 +68,25 @@ PAST_FLOAT64 = {
     "kernel_K_long_double": (lambda: kernel_K(160, 150, 0.5, PAST_LD), "the m=0 series leaves the float64 range"),
     "kernel_B_long_double": (lambda: kernel_B(0, 0.0, 160, 0.0, PAST_LD), "kernel_B misses 1e-10 at m=0, beta=0.0"),
     # past beta = 170, where Gamma(beta+1) overflows float64 (OverflowError before): the values are
-    # below the normal float64 range, and the transform's are not checked for that
+    # below the normal float64 range
     "kernel_K_past_gamma": (lambda: kernel_K(1, 0.5, 171.0), "the m=0 series leaves the float64 range"),
     "norm_series_past_gamma": (
         lambda: norm_series(CoherentSpec(z=1 + 0j, idx_m=2, beta=200.0)),
         "the squared norm leaves the float64 range",
     ),
     "eta_density_past_gamma": (lambda: eta_density(1 + 0j, 2, 400.0), "the squared norm leaves the float64 range"),
-    "apply_transform_past_gamma": (
-        lambda: apply_transform(SampledFunction(kind="coeffs", beta=171.0, coeffs=np.ones(3)), 2, 171.0, [0.5]),
-        "apply_transform leaves the float64 range at beta=171.0",
+    # the transform's values, of the size of 1/sqrt(Gamma(beta+1)), are normal floats up to beta of about 300
+    "apply_transform_below_normal": (
+        lambda: apply_transform(SampledFunction(kind="coeffs", beta=400.0, coeffs=np.ones(3)), 2, 400.0, [0.5]),
+        "apply_transform leaves the float64 range at m=2, beta=400.0, z=(0.5+0j)",
     ),
     # Gamma(beta+1) is past the long-double range too: taken as inf at once, where a product of
     # beta - 170 long-double factors would have asked for about 160 GB
     "kernel_K_past_long_double_gamma": (lambda: kernel_K(1, 0.5, 1e10), "the m=0 series leaves the float64 range"),
+    "apply_transform_past_long_double_gamma": (
+        lambda: apply_transform(SampledFunction(kind="coeffs", beta=2000.0, coeffs=np.ones(3)), 2, 2000.0, [0.5]),
+        "apply_transform leaves the float64 range at m=2, beta=2000.0, z=(0.5+0j)",
+    ),
     "norm_series_past_long_double_gamma": (
         lambda: norm_series(CoherentSpec(z=1 + 0j, idx_m=2, beta=1e10)),
         "the squared norm leaves the float64 range",

@@ -3,6 +3,7 @@ runs it, and the one module that names the working precision."""
 
 import ast
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ SRC = ROOT / "src" / "cstk"
 # absolute against 1e-18.  float64 rows cannot resolve an overlap this far below the norms, and it
 # returns with no estimate to raise on (ROADMAP items 1 and 16).
 OVERLAP_DISTANT_MISSES = [2, 3, 7, 11, 19]
+FACTORIAL_N, FACTORIAL_M = 400, 200  # the script's gen_factorial pairs: n <= 400, m <= min(n, 200)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +42,7 @@ def test_every_point_accounted_for(platform):
     data = ROOT / "tests" / "data"
     counts = {name: len(rows) for name, rows in json.loads((data / "coherent_reference.json").read_text()).items()}
     counts["kernel_B"] = len(json.loads((data / "kernel_B_sweep.json").read_text())["values"])
+    counts["gen_factorial"] = sum(min(n, FACTORIAL_M) + 1 for n in range(FACTORIAL_N + 1))
     assert {name: f["met"] + f["raised"] + f["missed"] for name, f in platform["families"].items()} == counts
 
 
@@ -47,6 +50,16 @@ def test_returned_values_meet_their_targets_but_the_pinned_overlaps(platform):
     # fails if another point misses, or if a pinned point starts to meet its target
     missed = {name: f["missed_at"] for name, f in platform["families"].items() if f["missed_at"]}
     assert missed == {"overlap_distant": OVERLAP_DISTANT_MISSES}
+
+
+def test_gen_factorial_within_1e12_of_the_exact_values(platform):
+    # the long-double product overflowed float64 past log (beta+m+1)_{n-m} = 709.8: a RuntimeWarning
+    # (an error here) and OverflowError against a finite value, as at n = 300, m = 150 (9.4e88)
+    fact = [math.factorial(k) for k in range(FACTORIAL_N + 1)]
+    past = sum(fact[n] > int(np.finfo(float).max) * fact[m] ** 2 for n in range(FACTORIAL_N + 1)
+               for m in range(min(n, FACTORIAL_M) + 1))
+    family = platform["families"]["gen_factorial"]
+    assert family["missed_at"] == [] and family["raised"] == past > 0, family
 
 
 def test_only_specfun_names_long_double():
